@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .sgraph import SignedGraph
+from .sgraph import SignedGraph, cached_on_graph
 
 __all__ = [
     "SwitchingFunction",
@@ -80,6 +80,7 @@ def switch(g: SignedGraph, th: SwitchingFunction) -> SignedGraph:
     )
 
 
+@cached_on_graph
 def balance_info(g: SignedGraph) -> BalanceInfo:
     """Detect balanced components by breadth-first sign propagation.
 

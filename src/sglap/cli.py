@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: bounds, spectrum, report, verify, switch-check.  The env var
-SG_TOL overrides the default 1e-9 comparison tolerance.  Identical flags
-and seed produce byte-identical output.
+SG_TOL overrides the default 1e-9 comparison tolerance; it must be a finite,
+non-negative number.  Identical flags and seed produce identical output on
+one machine, and at the default 3 decimals across machines.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +66,9 @@ def _cmd_report(args, tol: float) -> int:
 
 
 def _cmd_verify(args, tol: float) -> int:
+    if args.trials < 1:
+        # Zero trials check nothing, so their PASS would mean nothing.
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     cfg = GeneratorConfig(
         n=args.n,
         edge_prob=args.edge_prob,
@@ -139,7 +144,12 @@ def main(argv=None) -> int:
     try:
         tol = float(raw_tol) if raw_tol is not None else DEFAULT_TOL
     except ValueError:
-        print(f"error: SG_TOL must be a number, got {raw_tol!r}", file=sys.stderr)
+        tol = math.nan
+    # Every comparison against NaN is false, so a NaN tolerance would pass
+    # every check; an infinite or negative one makes the checks meaningless.
+    if not (math.isfinite(tol) and tol >= 0.0):
+        print(f"error: SG_TOL must be a finite, non-negative number, got {raw_tol!r}",
+              file=sys.stderr)
         return 2
     try:
         return args.func(args, tol)

@@ -3,12 +3,16 @@
 Vertices are numbered 1..n.  Edges are unordered pairs carrying a sign of
 +1 or -1; graphs are simple (no loops, no parallel edges).  All types are
 immutable after construction; every operation here is a pure function.
+Statistics of a graph are memoised on the graph object itself (see
+:func:`cached_on_graph`), so each is computed once per graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+import functools
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "GraphFormatError",
@@ -33,6 +37,27 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
+def cached_on_graph(fn):
+    """Memoise ``fn(g)`` on the graph ``g`` it is called with.
+
+    The value is stored in ``g``'s own memo dict, so it lives as long as
+    that graph object, and a graph built from another one (switched,
+    re-signed, a subgraph) starts with an empty memo.  ``fn`` must return an
+    immutable or read-only value.  Concurrent first calls may both compute
+    it; they store equal values, so no lock is needed.
+    """
+
+    @functools.wraps(fn)
+    def cached(g):
+        memo = g._memo
+        value = memo.get(fn)
+        if value is None:
+            value = memo[fn] = fn(g)
+        return value
+
+    return cached
+
+
 class SignedEdge(NamedTuple):
     i: int
     j: int
@@ -46,10 +71,13 @@ class SignedGraph:
     ``edges`` holds normalized ``SignedEdge`` records with ``i < j``.
     Construct directly with an already-normalized frozenset, or use
     :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.
+    ``_memo`` holds the statistics computed on this instance; it takes no
+    part in construction, equality, hashing or repr.
     """
 
     n: int
     edges: frozenset[SignedEdge]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -91,13 +119,14 @@ class SignedGraph:
         """Edge set of the underlying unsigned graph."""
         return frozenset((e.i, e.j) for e in self.edges)
 
-    def neighbor_map(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Map each vertex to its sorted (neighbor, sign) pairs."""
+    @cached_on_graph
+    def neighbor_map(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
+        """Read-only map of each vertex to its sorted (neighbor, sign) pairs."""
         acc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
         for e in self.edges:
             acc[e.i].append((e.j, e.sign))
             acc[e.j].append((e.i, e.sign))
-        return {v: tuple(sorted(pairs)) for v, pairs in acc.items()}
+        return MappingProxyType({v: tuple(sorted(pairs)) for v, pairs in acc.items()})
 
 
 @dataclass(frozen=True)
@@ -143,6 +172,7 @@ class TriangleStats:
     t_net: int
 
 
+@cached_on_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
     nbrs = g.neighbor_map()
@@ -178,6 +208,7 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
     )
 
 
+@cached_on_graph
 def triangle_stats(g: SignedGraph) -> TriangleStats:
     """Count triangles and their signs by neighbor-list intersection.
 

@@ -1,4 +1,4 @@
-"""Dense symmetric matrices for signed graphs, a cyclic Jacobi eigensolver,
+"""Dense symmetric matrices for signed graphs, their LAPACK eigenvalues,
 and exact trace / Rayleigh moments.
 
 Matrices built from graphs keep an integer dtype so trace computations are
@@ -7,19 +7,16 @@ exact; floating point enters only through the eigensolver and bound values.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sgraph import SignedGraph, degree_profile
+from .sgraph import SignedGraph, cached_on_graph, degree_profile
 
 __all__ = [
-    "ConvergenceError",
     "SymMatrix",
     "Spectrum",
-    "DEFAULT_EIG_TOL",
-    "MAX_SWEEPS",
     "adjacency",
     "laplacian",
     "sign_all",
@@ -28,21 +25,6 @@ __all__ = [
     "trace_moment",
     "rayleigh_moment",
 ]
-
-DEFAULT_EIG_TOL = 1e-12
-MAX_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """The Jacobi iteration failed to reach the target off-diagonal norm."""
-
-    def __init__(self, sweeps: int, residual: float):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal norm {residual:.3e})"
-        )
-        self.sweeps = sweeps
-        self.residual = residual
 
 
 class SymMatrix:
@@ -93,23 +75,28 @@ class Spectrum:
         return self.values[-1]
 
 
+def _edge_index(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # 0-based endpoint arrays and the sign array of g's edges, in one pass.
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m)
+    i, j, sign = flat.reshape(-1, 3).T
+    return i - 1, j - 1, sign
+
+
 def adjacency(g: SignedGraph) -> SymMatrix:
     """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
+    i, j, sign = _edge_index(g)
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for e in g.edges:
-        a[e.i - 1, e.j - 1] = e.sign
-        a[e.j - 1, e.i - 1] = e.sign
+    a[i, j] = a[j, i] = sign
     return SymMatrix(a)
 
 
+@cached_on_graph
 def laplacian(g: SignedGraph) -> SymMatrix:
     """Laplacian D - A: degrees on the diagonal, negated signs off it."""
+    i, j, sign = _edge_index(g)
     m = np.zeros((g.n, g.n), dtype=np.int64)
-    for e in g.edges:
-        m[e.i - 1, e.j - 1] = -e.sign
-        m[e.j - 1, e.i - 1] = -e.sign
-        m[e.i - 1, e.i - 1] += 1
-        m[e.j - 1, e.j - 1] += 1
+    m[i, j] = m[j, i] = -sign
+    np.fill_diagonal(m, np.bincount(np.concatenate((i, j)), minlength=g.n))
     return SymMatrix(m)
 
 
@@ -124,72 +111,15 @@ def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
     return SignedGraph.from_edges(g.n, [(e.i, e.j, sign) for e in g.edges])
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summed directly over the off-diagonal entries; subtracting the diagonal
-    # mass from the total would cancel catastrophically near convergence.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
+def eigenvalues(m: SymMatrix) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, ascending, by one LAPACK call.
 
-
-def _rotate(a: np.ndarray, p: int, q: int, skip: float) -> None:
-    # One Jacobi similarity rotation annihilating a[p, q].
-    apq = a[p, q]
-    if abs(apq) <= skip:
-        return
-    app, aqq = a[p, p], a[q, q]
-    theta = (aqq - app) / (2.0 * apq)
-    t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-    if theta < 0.0:
-        t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    # The 2x2 pivot block has closed-form images; writing them directly
-    # keeps the matrix exactly symmetric and the pivot exactly zero.
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-
-def eigenvalues(m: SymMatrix, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in row order (a deterministic schedule),
-    annihilating one off-diagonal pair per rotation, until the off-diagonal
-    Frobenius norm drops to ``tol``.  Entries already below tol/(10*n^2) are
-    skipped; they cannot push the norm back above tol on their own.
-
-    Raises:
-        ConvergenceError: the norm is still above ``tol`` after MAX_SWEEPS
-            sweeps; the exception carries the residual.
+    ``numpy.linalg.eigvalsh`` (LAPACK ``syevd``: tridiagonal reduction, then
+    divide and conquer; Golub & Van Loan, *Matrix Computations*, ch. 8) runs
+    on a float64 copy of the matrix.
     """
-    n = m.order
-    a = m.data.astype(np.float64, copy=True)
-    if n == 1:
-        return Spectrum((float(a[0, 0]),))
-    skip = tol / (10.0 * n * n)
-    residual = _offdiag_norm(a)
-    for _ in range(MAX_SWEEPS):
-        if residual <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, p, q, skip)
-        residual = _offdiag_norm(a)
-    else:
-        if residual > tol:
-            raise ConvergenceError(MAX_SWEEPS, residual)
-    values = np.sort(np.diagonal(a).copy())
-    return Spectrum(tuple(float(v) for v in values))
+    values = np.linalg.eigvalsh(m.data.astype(np.float64))
+    return Spectrum(tuple(values.tolist()))
 
 
 def spectral_radius_laplacian(g: SignedGraph) -> float:

@@ -118,6 +118,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "attempts" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_rejected(self, capsys, trials):
+        code, out, err = run(capsys, ["verify", "--n", "5", "--edge-prob", "0.5",
+                                      "--neg-prob", "0.5", "--trials", trials,
+                                      "--seed", "1"])
+        assert code == 2
+        assert err.startswith("error:") and "--trials" in err
+        assert "PASS" not in out
+
     def test_require_connected_flag(self, capsys):
         code, out, _ = run(capsys, ["verify", "--n", "5", "--edge-prob", "0.6",
                                     "--neg-prob", "0.5", "--trials", "10",
@@ -170,3 +179,20 @@ class TestTolOverride:
         code, _, err = run(capsys, ["bounds", "--input", graph_file("k3n", K3N)])
         assert code == 2
         assert "SG_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "-1", "-1e-12"])
+    def test_non_finite_or_negative_sg_tol_rejected(self, capsys, graph_file, monkeypatch, raw):
+        monkeypatch.setenv("SG_TOL", raw)
+        for argv in (["bounds", "--input", graph_file("k3n", K3N)],
+                     ["verify", "--n", "5", "--edge-prob", "0.5", "--neg-prob", "0.5",
+                      "--trials", "3", "--seed", "1"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert err.startswith("error:") and "SG_TOL" in err
+            assert "PASS" not in out
+
+    def test_zero_sg_tol_accepted(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setenv("SG_TOL", "0")
+        code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
+                                      "--b", graph_file("n", K3N)])
+        assert code == 0 and not err
