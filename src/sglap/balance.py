@@ -24,7 +24,6 @@ __all__ = [
     "laplacian_rank",
     "switching_equivalent",
     "induced_sign_subgraph",
-    "bipartite_component_count",
 ]
 
 
@@ -156,30 +155,3 @@ def induced_sign_subgraph(g: SignedGraph, sign: int) -> SignedGraph:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return SignedGraph(g.n, frozenset(e for e in g.edges if e.sign == sign))
 
-
-def bipartite_component_count(g: SignedGraph) -> int:
-    """Number of components whose underlying graph is bipartite (2-colorable).
-
-    Ignores signs.  Equals the balanced-component count of the all-negative
-    signing, since an all-negative cycle is positive iff its length is even.
-    """
-    nbrs = g.neighbor_map()
-    color = [-1] * g.n
-    count = 0
-    for root in range(1, g.n + 1):
-        if color[root - 1] >= 0:
-            continue
-        color[root - 1] = 0
-        queue = deque([root])
-        two_colorable = True
-        while queue:
-            u = queue.popleft()
-            for v, _ in nbrs[u]:
-                if color[v - 1] < 0:
-                    color[v - 1] = 1 - color[u - 1]
-                    queue.append(v)
-                elif color[v - 1] == color[u - 1]:
-                    two_colorable = False
-        if two_colorable:
-            count += 1
-    return count

@@ -14,9 +14,10 @@ square root, or cube root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from .balance import balance_info, induced_sign_subgraph, is_connected
+from .balance import induced_sign_subgraph, is_connected, laplacian_rank
 from .sgraph import SignedGraph, degree_profile, triangle_stats
 from .spectra import (
     Spectrum,
@@ -59,7 +60,6 @@ LOWER = "lower"
 UPPER = "upper"
 
 DEFAULT_TOL = 1e-9
-_RADICAND_SLACK = 1e-12
 
 _NOT_CONNECTED = "graph not connected"
 _NO_EDGE = "at least one edge required"
@@ -94,7 +94,9 @@ class BoundCatalogEntry:
 
     ``target`` names the spectral radius being bounded: "signed" for the
     input signature, "laplacian" / "signless" for the all-positive and
-    all-negative signings of the underlying graph.
+    all-negative signings of the underlying graph.  An unsigned entry's
+    ``signed_bound`` is the signed bound function it evaluates on that
+    signing.
     """
 
     bound_id: str
@@ -103,6 +105,7 @@ class BoundCatalogEntry:
     guard: str
     description: str
     notes: str = ""
+    signed_bound: Callable[[SignedGraph], BoundResult] | None = None
 
 
 def _value(bound_id: str, direction: str, v: float) -> BoundResult:
@@ -111,21 +114,6 @@ def _value(bound_id: str, direction: str, v: float) -> BoundResult:
 
 def _na(bound_id: str, direction: str, reason: str) -> BoundResult:
     return BoundResult(bound_id, direction, False, reason, None)
-
-
-def _clamp_radicand(value: float, context: str) -> float:
-    # Rounding may push a mathematically nonnegative radicand slightly below
-    # zero; anything past the slack is a logic error, not rounding.
-    if value < -_RADICAND_SLACK:
-        raise InternalInconsistencyError(f"{context}: radicand {value!r} negative beyond rounding slack")
-    return max(value, 0.0)
-
-
-def _neighbor_degree_sums(g: SignedGraph) -> dict[int, int]:
-    """Per-vertex sum of neighbor degrees (degree times average 2-degree, exactly)."""
-    nbrs = g.neighbor_map()
-    deg = {v: len(nbrs[v]) for v in nbrs}
-    return {v: sum(deg[u] for u, _ in nbrs[v]) for v in nbrs}
 
 
 # -- sign-dependent lower bounds -------------------------------------------
@@ -166,17 +154,21 @@ def ub_rank_trace(g: SignedGraph) -> BoundResult:
     With r = rank(L) = n - (balanced components), s1/r is the mean nonzero
     eigenvalue and the radicand is (r-1) times its variance:
         s1/r + sqrt((s1+s2) - (s1+s2+s1^2)/r + (s1/r)^2).
-    Needs at least one edge (which forces r >= 1).
+    Scaled by r^2 the radicand is the exact integer
+        N = (r-1)(r(s1+s2) - s1^2),
+    so the value is (s1 + sqrt(N))/r with no cancellation; a negative N is
+    asserted as a bug, never clamped.  Needs at least one edge (which
+    forces r >= 1).
     """
     if g.m == 0:
         return _na("UB-RANK", UPPER, _NO_EDGE)
     prof = degree_profile(g)
-    r = g.n - balance_info(g).balanced_count
+    r = laplacian_rank(g)
     s1, s2 = prof.s1, prof.s2
-    mean = s1 / r
-    radicand = (s1 + s2) - (s1 + s2 + s1 * s1) / r + mean * mean
-    radicand = _clamp_radicand(radicand, "UB-RANK")
-    return _value("UB-RANK", UPPER, mean + math.sqrt(radicand))
+    radicand = (r - 1) * (r * (s1 + s2) - s1 * s1)
+    if radicand < 0:
+        raise InternalInconsistencyError(f"UB-RANK: radicand {radicand} < 0")
+    return _value("UB-RANK", UPPER, (s1 + math.sqrt(radicand)) / r)
 
 
 def lb_trace_sq(g: SignedGraph) -> BoundResult:
@@ -185,7 +177,7 @@ def lb_trace_sq(g: SignedGraph) -> BoundResult:
     The numerator is |tr(L)^2 - tr(L^2)| in degree terms; the absolute value
     keeps the bound valid when the signed numerator goes negative.
     """
-    r = g.n - balance_info(g).balanced_count
+    r = laplacian_rank(g)
     if r < 2:
         return _na("LB-TR-1", LOWER, "b > n-2")
     prof = degree_profile(g)
@@ -199,7 +191,7 @@ def lb_trace_cubic_a(g: SignedGraph) -> BoundResult:
     Numerator |2 tr(L^3) - 3 tr(L^2) tr(L) + tr(L)^3| expanded in degree and
     triangle terms: |2 s3 + 6 s2 - 3 s2 s1 + s1^3 - 3 s1^2 - 12 t_net|.
     """
-    r = g.n - balance_info(g).balanced_count
+    r = laplacian_rank(g)
     if r < 3:
         return _na("LB-TR-2", LOWER, "b > n-3")
     prof = degree_profile(g)
@@ -215,7 +207,7 @@ def lb_trace_cubic_b(g: SignedGraph) -> BoundResult:
     In degree and triangle terms the numerator is
     |s1^2 - 3 s2 + s1 s2 - s3 + 6 t_net|.
     """
-    r = g.n - balance_info(g).balanced_count
+    r = laplacian_rank(g)
     if r < 2:
         return _na("LB-TR-3", LOWER, "rank n-b < 2")
     prof = degree_profile(g)
@@ -240,11 +232,10 @@ def ub_wang_edge(g: SignedGraph) -> BoundResult:
     if g.m == 0:
         return _na("UB-WANG-EDGE", UPPER, _NO_EDGE)
     prof = degree_profile(g)
-    nds = _neighbor_degree_sums(g)
     best = 0.0
     for e in g.edges:
         di, dj = prof.d[e.i - 1], prof.d[e.j - 1]
-        inner = di * nds[e.i] + dj * nds[e.j] - 2 * di * dj
+        inner = di * prof.nds[e.i - 1] + dj * prof.nds[e.j - 1] - 2 * di * dj
         if inner < 0:
             raise InternalInconsistencyError(f"UB-WANG-EDGE: inner term {inner} < 0")
         best = max(best, (di + dj - 2) * inner / (di * dj))
@@ -301,20 +292,20 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
     if g.m == 0:
         return tuple(_na(b, d, _NO_EDGE) for b, d in ids)
     prof = degree_profile(g)
-    nds = _neighbor_degree_sums(g)
+    nds = prof.nds
     kb1 = 0.0
     kb2_rad = None
     kb4 = 0.0
     for e in g.edges:
         di, dj = prof.d[e.i - 1], prof.d[e.j - 1]
-        si, sj = nds[e.i], nds[e.j]
+        si, sj = nds[e.i - 1], nds[e.j - 1]
         kb1 = max(kb1, (di * di + si + dj * dj + sj) / (di + dj))
         rad = di * di + si - 4 * di + dj * dj + sj - 4 * dj + 4
         if rad < 0:
             raise InternalInconsistencyError(f"KB-2: radicand {rad} < 0 on edge {e.i},{e.j}")
         kb2_rad = rad if kb2_rad is None else max(kb2_rad, rad)
         kb4 = max(kb4, (di + dj + math.sqrt((di - dj) ** 2 + 4 * math.sqrt(si * sj))) / 2.0)
-    kb3 = max(prof.d[v - 1] + math.sqrt(nds[v]) for v in range(1, g.n + 1))
+    kb3 = max(d + math.sqrt(s) for d, s in zip(prof.d, nds))
     return (
         _value("KB-1", UPPER, kb1),
         _value("KB-2", UPPER, 2.0 + math.sqrt(kb2_rad)),
@@ -326,36 +317,25 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
 
 # -- unsigned-graph corollaries ----------------------------------------------
 
-def _relabel(result: BoundResult, bound_id: str) -> BoundResult:
-    return BoundResult(bound_id, result.direction, result.applicable,
-                       result.guard_reason, result.value)
+# Sign given to every edge for each unsigned target: all-positive signing
+# gives the ordinary Laplacian, all-negative the signless Laplacian.
+_TARGET_SIGN = {"laplacian": 1, "signless": -1}
 
 
 def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
     """Bounds for the Laplacian and signless Laplacian of the underlying graph.
 
-    Input signs are ignored.  Each value delegates to the signed bound on
-    the all-positive or all-negative signing, where the balanced-component
-    count becomes the component count c (all-positive) or the bipartite
-    component count (all-negative), and signed triangles collapse to +-t.
-
-    NEQ-SLB-*, UB-SL and LB-TR-SL-* bound the signless Laplacian spectral
-    radius; UB-L and LB-TR-L-* bound the ordinary Laplacian's.
+    Input signs are ignored.  Each ``UNSIGNED_CATALOG`` entry, in order,
+    evaluates its signed bound on the all-positive or all-negative signing
+    named by its target, where the balanced-component count becomes the
+    component count c (all-positive) or the bipartite component count
+    (all-negative), and signed triangles collapse to +-t.  Results come in
+    catalog order and carry the catalog's ids.
     """
-    gp = sign_all(g, 1)
-    gm = sign_all(g, -1)
-    return (
-        _relabel(lb_net_mean(gm), "NEQ-SLB-1"),
-        _relabel(lb_net_sq(gm), "NEQ-SLB-2"),
-        _relabel(lb_net_cubic(gm), "NEQ-SLB-3"),
-        _relabel(ub_rank_trace(gp), "UB-L"),
-        _relabel(ub_rank_trace(gm), "UB-SL"),
-        _relabel(lb_trace_sq(gp), "LB-TR-L-1"),
-        _relabel(lb_trace_cubic_a(gp), "LB-TR-L-2"),
-        _relabel(lb_trace_cubic_b(gp), "LB-TR-L-3"),
-        _relabel(lb_trace_sq(gm), "LB-TR-SL-1"),
-        _relabel(lb_trace_cubic_a(gm), "LB-TR-SL-2"),
-        _relabel(lb_trace_cubic_b(gm), "LB-TR-SL-3"),
+    signings = {target: sign_all(g, sign) for target, sign in _TARGET_SIGN.items()}
+    return tuple(
+        replace(e.signed_bound(signings[e.target]), bound_id=e.bound_id)
+        for e in UNSIGNED_CATALOG
     )
 
 
@@ -462,27 +442,38 @@ SIGNED_CATALOG: tuple[BoundCatalogEntry, ...] = (
 
 UNSIGNED_CATALOG: tuple[BoundCatalogEntry, ...] = (
     BoundCatalogEntry("NEQ-SLB-1", LOWER, "signless", "connected",
-                      "twice the average degree"),
+                      "twice the average degree",
+                      signed_bound=lb_net_mean),
     BoundCatalogEntry("NEQ-SLB-2", LOWER, "signless", "connected",
-                      "root of 4 s2 / n"),
+                      "root of 4 s2 / n",
+                      signed_bound=lb_net_sq),
     BoundCatalogEntry("NEQ-SLB-3", LOWER, "signless", "connected",
-                      "cube root of (4 s3 + 8 sum of edge degree products) / n"),
+                      "cube root of (4 s3 + 8 sum of edge degree products) / n",
+                      signed_bound=lb_net_cubic),
     BoundCatalogEntry("UB-L", UPPER, "laplacian", "at least one edge",
-                      "rank/trace upper bound with component count c"),
+                      "rank/trace upper bound with component count c",
+                      signed_bound=ub_rank_trace),
     BoundCatalogEntry("UB-SL", UPPER, "signless", "at least one edge",
-                      "rank/trace upper bound with bipartite component count"),
+                      "rank/trace upper bound with bipartite component count",
+                      signed_bound=ub_rank_trace),
     BoundCatalogEntry("LB-TR-L-1", LOWER, "laplacian", "c <= n-2",
-                      "second trace moment with rank n-c"),
+                      "second trace moment with rank n-c",
+                      signed_bound=lb_trace_sq),
     BoundCatalogEntry("LB-TR-L-2", LOWER, "laplacian", "c <= n-3",
-                      "third trace moment with rank n-c and -12t"),
+                      "third trace moment with rank n-c and -12t",
+                      signed_bound=lb_trace_cubic_a),
     BoundCatalogEntry("LB-TR-L-3", LOWER, "laplacian", "c <= n-2",
-                      "mixed trace moment with rank n-c and +6t"),
+                      "mixed trace moment with rank n-c and +6t",
+                      signed_bound=lb_trace_cubic_b),
     BoundCatalogEntry("LB-TR-SL-1", LOWER, "signless", "c_bip <= n-2",
-                      "second trace moment with rank n-c_bip"),
+                      "second trace moment with rank n-c_bip",
+                      signed_bound=lb_trace_sq),
     BoundCatalogEntry("LB-TR-SL-2", LOWER, "signless", "c_bip <= n-3",
-                      "third trace moment with rank n-c_bip and +12t"),
+                      "third trace moment with rank n-c_bip and +12t",
+                      signed_bound=lb_trace_cubic_a),
     BoundCatalogEntry("LB-TR-SL-3", LOWER, "signless", "c_bip <= n-2",
-                      "mixed trace moment with rank n-c_bip and -6t"),
+                      "mixed trace moment with rank n-c_bip and -6t",
+                      signed_bound=lb_trace_cubic_b),
 )
 
 CATALOG: tuple[BoundCatalogEntry, ...] = SIGNED_CATALOG + UNSIGNED_CATALOG

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .balance import switching_equivalent
 from .bounds import DEFAULT_TOL, InternalInconsistencyError, evaluate_all
-from .harness import GenerationError, GeneratorConfig, format_value, report, verify
+from .harness import (GenerationError, GeneratorConfig, format_value, render_table,
+                      report, verify)
 from .sgraph import GraphFormatError, SignedGraph, parse_signed_graph
 from .spectra import eigenvalues, laplacian
 
@@ -29,24 +30,9 @@ def _cmd_bounds(args, tol: float) -> int:
     g = _load(args.input)
     ev = evaluate_all(g, tol=tol)
     rows = [("lambda_max", "exact", format_value(ev.lambda_max, args.full_precision), "")]
-    for r in ev.results:
-        value = format_value(r.value, args.full_precision) if r.applicable else "—"
-        rows.append((r.bound_id, r.direction, value, r.guard_reason))
-    header = ("bound", "direction", "value", "guard")
-    if args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
-    else:
-        print("| " + " | ".join(header) + " |")
-        print("| " + " | ".join("---" for _ in header) + " |")
-        for row in rows:
-            print("| " + " | ".join(row) + " |")
+    rows += [(r.bound_id, r.direction, format_value(r.value, args.full_precision),
+              r.guard_reason) for r in ev.results]
+    sys.stdout.write(render_table(("bound", "direction", "value", "guard"), rows, args.format))
     return 0
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "verify",
     "report",
     "format_value",
+    "render_table",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -158,7 +159,13 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     count above RANK_TOL equals n minus balanced components); and spectrum
     invariance under a random switching.  Failures are returned as data,
     never raised.
+
+    Raises:
+        ValueError: ``trials`` is below 1; zero trials check nothing, so
+            their report would be a vacuous pass.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     failures: list[Violation] = []
     identity: list[Violation] = []
     seed_stream = SplitMix64(cfg.seed)
@@ -204,8 +211,27 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     return VerificationReport(trials, tuple(failures), tuple(identity))
 
 
-def format_value(v: float, full_precision: bool = False) -> str:
+def format_value(v: float | None, full_precision: bool = False) -> str:
+    """Table cell for a value: 3 decimals or the exact double, and an em
+    dash for ``None``, the value of an inapplicable bound."""
+    if v is None:
+        return "—"
     return repr(float(v)) if full_precision else f"{v:.3f}"
+
+
+def render_table(header, rows, fmt: str) -> str:
+    """Markdown (``fmt="md"``) or CSV (``fmt="csv"``) text of a table of
+    string cells, one LF-terminated line per row after the header."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt != "md":
+        raise ValueError(f"format must be 'md' or 'csv', got {fmt!r}")
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 
 
 _VARIANTS = ("Σ", "(Γ,+1)", "(Γ,-1)")
@@ -224,8 +250,6 @@ def report(
     bound catalog in order, rounded to 3 decimals (or full precision).
     Inapplicable bounds render as an em dash.
     """
-    if fmt not in ("md", "csv"):
-        raise ValueError(f"format must be 'md' or 'csv', got {fmt!r}")
     if names is None:
         names = [f"G{k}" for k in range(1, len(graphs) + 1)]
     if len(names) != len(graphs):
@@ -236,19 +260,6 @@ def report(
         variants = (g, sign_all(g, 1), sign_all(g, -1))
         for label, variant in zip(_VARIANTS, variants):
             ev = evaluate_all(variant, check=False)
-            cells = [name, label, format_value(ev.lambda_max, full_precision)]
-            cells += [
-                format_value(r.value, full_precision) if r.applicable else "—"
-                for r in ev.results
-            ]
-            rows.append(cells)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
+            values = (ev.lambda_max, *(r.value for r in ev.results))
+            rows.append([name, label, *(format_value(v, full_precision) for v in values)])
+    return render_table(header, rows, fmt)

@@ -137,8 +137,9 @@ class DegreeProfile:
         d: degree of each vertex.
         d_pos, d_neg: counts of incident positive / negative edges.
         d_net: d_pos - d_neg per vertex.
-        avg2: mean degree over each vertex's neighbors; ``None`` marks an
-            isolated vertex (the quantity is undefined there, never 0).
+        nds: sum of the neighbors' degrees of each vertex.
+        avg2: mean degree over each vertex's neighbors, ``nds / d``; ``None``
+            marks an isolated vertex (the quantity is undefined there, never 0).
         s1, s2, s3: sums of degree powers (s1 equals twice the edge count).
         max_deg: largest degree.
         avg_deg: s1 / n.
@@ -152,6 +153,7 @@ class DegreeProfile:
     d_pos: tuple[int, ...]
     d_neg: tuple[int, ...]
     d_net: tuple[int, ...]
+    nds: tuple[int, ...]
     avg2: tuple[float | None, ...]
     s1: int
     s2: int
@@ -176,18 +178,14 @@ class TriangleStats:
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
     nbrs = g.neighbor_map()
-    d, d_pos, d_neg, avg2 = [], [], [], []
+    d, d_pos, d_neg = [], [], []
     for v in range(1, g.n + 1):
         inc = nbrs[v]
         pos = sum(1 for _, s in inc if s > 0)
         d.append(len(inc))
         d_pos.append(pos)
         d_neg.append(len(inc) - pos)
-    for v in range(1, g.n + 1):
-        if d[v - 1] == 0:
-            avg2.append(None)
-        else:
-            avg2.append(sum(d[u - 1] for u, _ in nbrs[v]) / d[v - 1])
+    nds = [sum(d[u - 1] for u, _ in nbrs[v]) for v in range(1, g.n + 1)]
     s1 = sum(d)
     s2 = sum(x * x for x in d)
     s3 = sum(x ** 3 for x in d)
@@ -197,7 +195,8 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
         d_pos=tuple(d_pos),
         d_neg=tuple(d_neg),
         d_net=tuple(p - q for p, q in zip(d_pos, d_neg)),
-        avg2=tuple(avg2),
+        nds=tuple(nds),
+        avg2=tuple(x / k if k else None for x, k in zip(nds, d)),
         s1=s1,
         s2=s2,
         s3=s3,

@@ -25,6 +25,7 @@ from sglap import (
     BoundResult,
     SignedGraph,
     classic_bounds,
+    degree_profile,
     evaluate_all,
     lb_interlacing,
     lb_net_cubic,
@@ -33,6 +34,7 @@ from sglap import (
     lb_trace_cubic_a,
     lb_trace_cubic_b,
     lb_trace_sq,
+    laplacian_rank,
     sandwich_violations,
     sign_all,
     spectral_radius_laplacian,
@@ -220,6 +222,19 @@ class TestUnsignedCorollaries:
     def test_path_delegation_equals_signed_bound(self):
         values = {r.bound_id: r for r in unsigned_corollaries(P3P)}
         assert values["UB-L"].value == ub_rank_trace(sign_all(P3P, 1)).value == pytest.approx(3.0)
+
+    def test_ub_l_exact_on_complete_graphs(self):
+        # K_n has rank r = n-1, s1 = n(n-1) and s2 = n(n-1)^2, so the integer
+        # radicand (r-1)(r(s1+s2) - s1^2) is 0 and UB-L = s1/r = n exactly.
+        for n in range(2, 61):
+            kn = SignedGraph.from_edges(
+                n, [(i, j, -1) for i in range(1, n) for j in range(i + 1, n + 1)])
+            prof = degree_profile(kn)
+            r = laplacian_rank(sign_all(kn, 1))
+            assert r == n - 1
+            assert (r - 1) * (r * (prof.s1 + prof.s2) - prof.s1 ** 2) == 0
+            values = {res.bound_id: res.value for res in unsigned_corollaries(kn)}
+            assert values["UB-L"] == float(n)
 
     def test_signs_of_input_are_ignored(self):
         for a, b in ((K3M, K3N), (P3P, P3N)):

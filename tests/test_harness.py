@@ -88,8 +88,9 @@ class TestVerify:
 
     def test_zero_trials(self):
         cfg = GeneratorConfig(n=5, edge_prob=0.5, neg_prob=0.5, seed=1)
-        rep = verify(cfg, trials=0)
-        assert rep.trials == 0 and rep.ok
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="at least 1"):
+                verify(cfg, trials=trials)
 
     def test_impossible_connected_config_raises(self):
         cfg = GeneratorConfig(n=4, edge_prob=0.0, neg_prob=0.5, seed=1,

@@ -185,13 +185,15 @@ class TestDegreeProfile:
         assert sum(prof.d_net) == 2 * (m_pos - m_neg)
         assert prof.s2 == sum(x * x for x in prof.d)
         assert prof.s3 == sum(x ** 3 for x in prof.d)
-        # d_j * avg2_j recovers the neighbor degree sum for non-isolated j
+        # nds_j is the neighbor degree sum exactly, and d_j * avg2_j recovers
+        # it for non-isolated j
         nbrs = g.neighbor_map()
         for v in range(1, g.n + 1):
+            want = sum(prof.d[u - 1] for u, _ in nbrs[v])
+            assert prof.nds[v - 1] == want
             if prof.d[v - 1] == 0:
                 assert prof.avg2[v - 1] is None
             else:
-                want = sum(prof.d[u - 1] for u, _ in nbrs[v])
                 assert prof.d[v - 1] * prof.avg2[v - 1] == pytest.approx(want, abs=1e-9)
         for e in g.edges:
             de = prof.d[e.i - 1] + prof.d[e.j - 1] - 2
