@@ -173,12 +173,15 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         g_seed = seed_stream.next_u64()
         th_seed = seed_stream.next_u64()
         g = generate(replace(cfg, seed=g_seed))
-        text = serialize_signed_graph(g)
+        # (check_id, value, reference, magnitude); the graph text is made
+        # only for a trial that has something to report.
+        bad: list[tuple[str, float, float, float]] = []
+        bad_identity: list[tuple[str, float, float, float]] = []
 
         ev = evaluate_all(g, tol=tol, check=False)
         lmax = ev.lambda_max
         for res, magnitude in sandwich_violations(ev.results, lmax, tol):
-            failures.append(Violation(trial, text, res.bound_id, res.value, lmax, magnitude))
+            bad.append((res.bound_id, res.value, lmax, magnitude))
 
         prof = degree_profile(g)
         tri = triangle_stats(g)
@@ -191,20 +194,24 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         for k, (check_id, want) in enumerate(expected.items(), start=1):
             got = trace_moment(lap, k)
             if got != want:
-                identity.append(Violation(trial, text, check_id, float(got), float(want),
-                                          float(abs(got - want))))
+                bad_identity.append((check_id, float(got), float(want), float(abs(got - want))))
 
         num_rank = sum(1 for v in ev.spectrum.values if v > RANK_TOL)
         want_rank = laplacian_rank(g)
         if num_rank != want_rank:
-            identity.append(Violation(trial, text, "rank", float(num_rank), float(want_rank),
-                                      float(abs(num_rank - want_rank))))
+            bad_identity.append(("rank", float(num_rank), float(want_rank),
+                                 float(abs(num_rank - want_rank))))
 
         th = _random_switching(SplitMix64(th_seed), g.n)
         switched = eigenvalues(laplacian(switch(g, th)))
         diff = max(abs(a - b) for a, b in zip(ev.spectrum.values, switched.values))
         if diff > tol:
-            identity.append(Violation(trial, text, "switching", diff, 0.0, diff))
+            bad_identity.append(("switching", diff, 0.0, diff))
+
+        if bad or bad_identity:
+            text = serialize_signed_graph(g)
+            failures += [Violation(trial, text, *v) for v in bad]
+            identity += [Violation(trial, text, *v) for v in bad_identity]
 
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))

@@ -80,17 +80,23 @@ class SignedGraph:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        pairs = set()
-        for e in self.edges:
-            if not (1 <= e.i < e.j <= self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n} (need 1 <= i < j <= n)")
-            if e.sign not in (1, -1):
-                raise ValueError(f"edge {e} has sign {e.sign!r}, expected +1 or -1")
-            if (e.i, e.j) in pairs:
-                raise ValueError(f"duplicate edge between {e.i} and {e.j}")
-            pairs.add((e.i, e.j))
+        n = self.n
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        edges = self.edges
+        repeated = set()
+        for e in edges:
+            i, j, sign = e
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge {e} out of range for n={n} (need 1 <= i < j <= n)")
+            if sign not in (1, -1):
+                raise ValueError(f"edge {e} has sign {sign!r}, expected +1 or -1")
+            # A set holds each triple once, so a pair can only repeat with the
+            # opposite sign; the error is raised at its second occurrence.
+            if (i, j, -sign) in edges:
+                if (i, j) in repeated:
+                    raise ValueError(f"duplicate edge between {i} and {j}")
+                repeated.add((i, j))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
@@ -114,10 +120,6 @@ class SignedGraph:
 
     def sorted_edges(self) -> list[SignedEdge]:
         return sorted(self.edges)
-
-    def underlying_pairs(self) -> frozenset[tuple[int, int]]:
-        """Edge set of the underlying unsigned graph."""
-        return frozenset((e.i, e.j) for e in self.edges)
 
     @cached_on_graph
     def neighbor_map(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
@@ -257,51 +259,61 @@ def parse_signed_graph(text: str) -> SignedGraph:
     edges: list[SignedEdge] = []
     pair_lines: dict[tuple[int, int], int] = {}
     max_index = 0
+    # Per-line work is bound to locals.  tuple.__new__ builds a SignedEdge
+    # from a ready (i, j, sign) tuple without the Python-level namedtuple
+    # constructor.
+    first_line = pair_lines.setdefault
+    add_edge = edges.append
+    sign_of = _SIGN_TOKENS.get
+    new_edge = tuple.__new__
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if not saw_content and tokens[0] == "n":
-            saw_content = True
-            if len(tokens) != 2:
-                raise GraphFormatError(line_no, "malformed header, expected 'n <count>'")
-            try:
-                header_n = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(line_no, f"invalid vertex count {tokens[1]!r}") from None
-            if header_n < 1:
-                raise GraphFormatError(line_no, "vertex count must be positive")
-            continue
-        saw_content = True
-        if len(tokens) == 2:
-            raise GraphFormatError(line_no, "missing sign token")
-        if len(tokens) != 3:
-            raise GraphFormatError(line_no, f"expected '<i> <j> <sign>', got {len(tokens)} fields")
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        # Past the first content line every 3-token line is an edge line.
+        if len(tokens) != 3 or not saw_content:
+            if not tokens:
+                continue
+            if not saw_content:
+                saw_content = True
+                if tokens[0] == "n":
+                    if len(tokens) != 2:
+                        raise GraphFormatError(line_no, "malformed header, expected 'n <count>'")
+                    try:
+                        header_n = int(tokens[1])
+                    except ValueError:
+                        raise GraphFormatError(
+                            line_no, f"invalid vertex count {tokens[1]!r}"
+                        ) from None
+                    if header_n < 1:
+                        raise GraphFormatError(line_no, "vertex count must be positive")
+                    continue
+            if len(tokens) == 2:
+                raise GraphFormatError(line_no, "missing sign token")
+            if len(tokens) != 3:
+                raise GraphFormatError(
+                    line_no, f"expected '<i> <j> <sign>', got {len(tokens)} fields"
+                )
+        a, b, sign_token = tokens
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            i, j = int(a), int(b)
         except ValueError:
             raise GraphFormatError(line_no, "vertex indices must be integers") from None
-        sign = _SIGN_TOKENS.get(tokens[2])
+        sign = sign_of(sign_token)
         if sign is None:
-            raise GraphFormatError(line_no, f"invalid sign token {tokens[2]!r}")
-        if i == j:
+            raise GraphFormatError(line_no, f"invalid sign token {sign_token!r}")
+        if i > j:
+            i, j = j, i
+        elif i == j:
             raise GraphFormatError(line_no, f"self-loop at vertex {i}")
-        if i < 1 or j < 1:
+        if i < 1:
             raise GraphFormatError(line_no, "vertex indices start at 1")
-        if header_n is not None and max(i, j) > header_n:
-            raise GraphFormatError(
-                line_no, f"vertex index {max(i, j)} exceeds declared count {header_n}"
-            )
-        pair = (min(i, j), max(i, j))
-        if pair in pair_lines:
-            raise GraphFormatError(
-                line_no,
-                f"duplicate edge {pair[0]} {pair[1]} (first on line {pair_lines[pair]})",
-            )
-        pair_lines[pair] = line_no
-        max_index = max(max_index, i, j)
-        edges.append(SignedEdge(pair[0], pair[1], sign))
+        if header_n is not None and j > header_n:
+            raise GraphFormatError(line_no, f"vertex index {j} exceeds declared count {header_n}")
+        first = first_line((i, j), line_no)
+        if first != line_no:
+            raise GraphFormatError(line_no, f"duplicate edge {i} {j} (first on line {first})")
+        if j > max_index:
+            max_index = j
+        add_edge(new_edge(SignedEdge, (i, j, sign)))
     if header_n is None:
         if not edges:
             raise GraphFormatError(1, "empty input: need a header line or at least one edge")

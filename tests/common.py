@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the package's computation paths: matrices
 are rebuilt from the edge list, triangles come from a full triple scan,
-component counts from a fresh BFS, and eigenvalues from a cyclic Jacobi
-iteration (the package itself calls LAPACK).
+component counts from a fresh BFS, eigenvalues from a cyclic Jacobi
+iteration (the package itself calls LAPACK), and parsed graphs from a
+straightforward line-by-line parser.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from sglap import GeneratorConfig, SignedGraph, generate
+from sglap import GeneratorConfig, GraphFormatError, SignedEdge, SignedGraph, generate
 
 # Small named graphs.  Naming: K/P/STAR + size + signature (P all-positive,
 # N all-negative, M mixed).
@@ -31,6 +32,89 @@ K3P_K3N = SignedGraph.from_edges(
     6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, -1), (5, 6, -1), (4, 6, -1)]
 )
 EMPTY3 = SignedGraph.from_edges(3, [])
+
+
+_ORACLE_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+
+
+def oracle_parse(text: str) -> SignedGraph:
+    """Reference edge-list parser: one readable pass with every check in the
+    order the format documents, raising the package's ``GraphFormatError``
+    messages and line numbers.  The package parser must agree with it on any
+    text, graphs and errors alike."""
+    header_n: int | None = None
+    saw_content = False
+    edges: list[SignedEdge] = []
+    pair_lines: dict[tuple[int, int], int] = {}
+    max_index = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if not saw_content and tokens[0] == "n":
+            saw_content = True
+            if len(tokens) != 2:
+                raise GraphFormatError(line_no, "malformed header, expected 'n <count>'")
+            try:
+                header_n = int(tokens[1])
+            except ValueError:
+                raise GraphFormatError(line_no, f"invalid vertex count {tokens[1]!r}") from None
+            if header_n < 1:
+                raise GraphFormatError(line_no, "vertex count must be positive")
+            continue
+        saw_content = True
+        if len(tokens) == 2:
+            raise GraphFormatError(line_no, "missing sign token")
+        if len(tokens) != 3:
+            raise GraphFormatError(line_no, f"expected '<i> <j> <sign>', got {len(tokens)} fields")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphFormatError(line_no, "vertex indices must be integers") from None
+        sign = _ORACLE_SIGNS.get(tokens[2])
+        if sign is None:
+            raise GraphFormatError(line_no, f"invalid sign token {tokens[2]!r}")
+        if i == j:
+            raise GraphFormatError(line_no, f"self-loop at vertex {i}")
+        if i < 1 or j < 1:
+            raise GraphFormatError(line_no, "vertex indices start at 1")
+        if header_n is not None and max(i, j) > header_n:
+            raise GraphFormatError(
+                line_no, f"vertex index {max(i, j)} exceeds declared count {header_n}"
+            )
+        pair = (min(i, j), max(i, j))
+        if pair in pair_lines:
+            raise GraphFormatError(
+                line_no,
+                f"duplicate edge {pair[0]} {pair[1]} (first on line {pair_lines[pair]})",
+            )
+        pair_lines[pair] = line_no
+        max_index = max(max_index, i, j)
+        edges.append(SignedEdge(pair[0], pair[1], sign))
+    if header_n is None:
+        if not edges:
+            raise GraphFormatError(1, "empty input: need a header line or at least one edge")
+        header_n = max_index
+    return SignedGraph(header_n, frozenset(edges))
+
+
+def oracle_graph_error(n, edges) -> str | None:
+    """The ``ValueError`` message ``SignedGraph(n, edges)`` must raise, or
+    None: every edge checked in iteration order, range before sign before a
+    repeated pair, with the pairs seen so far kept in a set."""
+    if not isinstance(n, int) or n < 1:
+        return f"vertex count must be a positive integer, got {n!r}"
+    pairs = set()
+    for e in edges:
+        if not (1 <= e.i < e.j <= n):
+            return f"edge {e} out of range for n={n} (need 1 <= i < j <= n)"
+        if e.sign not in (1, -1):
+            return f"edge {e} has sign {e.sign!r}, expected +1 or -1"
+        if (e.i, e.j) in pairs:
+            return f"duplicate edge between {e.i} and {e.j}"
+        pairs.add((e.i, e.j))
+    return None
 
 
 def oracle_laplacian(g: SignedGraph) -> np.ndarray:

@@ -135,7 +135,14 @@ class TestSwitchingEquivalent:
 
     def test_different_underlying_graphs(self):
         assert not switching_equivalent(K3P, P3P).equivalent
+        assert not switching_equivalent(P3P, K3P).equivalent  # every pair of P3P is in K3P
         assert not switching_equivalent(K2P, K3P).equivalent
+
+    def test_same_size_different_pairs(self):
+        path = SignedGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
+        star = SignedGraph.from_edges(3, [(1, 2, 1), (1, 3, 1)])
+        assert switching_equivalent(path, star) == (False, None)
+        assert switching_equivalent(star, path) == (False, None)
 
     @given(graphs_with_switchings())
     @settings(max_examples=200)
@@ -160,6 +167,25 @@ class TestSwitchingEquivalent:
             assert ab.equivalent and ba.equivalent
             bc, ac = switching_equivalent(b, c), switching_equivalent(a, c)
             assert bc.equivalent and ac.equivalent
+
+    def test_flipped_cycle_edge_on_random_graphs(self):
+        # Flipping an edge that lies on a cycle negates that cycle in the
+        # product signature, so the pair is inequivalent in both orders.
+        rng = np.random.default_rng(11)
+        checked = 0
+        for g in random_graphs(30, base_seed=900, n_min=4, n_max=10):
+            b = switch(g, SwitchingFunction(tuple(rng.choice((1, -1)) for _ in range(g.n))))
+            edges = sorted(b.edges)
+            for k, e in enumerate(edges):
+                rest = SignedGraph(g.n, frozenset(edges[:k] + edges[k + 1:]))
+                if oracle_components(rest) != oracle_components(b):
+                    continue  # a bridge lies on no cycle
+                flipped = SignedGraph(g.n, rest.edges | {SignedEdge(e.i, e.j, -e.sign)})
+                ab, ba = switching_equivalent(g, flipped), switching_equivalent(flipped, g)
+                assert not ab.equivalent and not ba.equivalent
+                assert ab.witness is None and ba.witness is None
+                checked += 1
+        assert checked > 100
 
 
 class TestInducedSubgraphs:

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from sglap import (
     generate,
     is_connected,
     report,
+    serialize_signed_graph,
     verify,
 )
 
@@ -101,6 +103,21 @@ class TestVerify:
     def test_deterministic(self):
         cfg = GeneratorConfig(n=7, edge_prob=0.4, neg_prob=0.6, seed=99)
         assert verify(cfg, trials=10) == verify(cfg, trials=10)
+
+    def test_failures_carry_the_trial_graph(self):
+        # With tol = -1 the switching check (diff > tol) fires on every trial.
+        cfg = GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31)
+        rep = verify(cfg, 3, tol=-1.0)
+        seeds = SplitMix64(cfg.seed)
+        graphs = []
+        for _ in range(3):
+            graphs.append(serialize_signed_graph(generate(replace(cfg, seed=seeds.next_u64()))))
+            seeds.next_u64()  # the trial's switching seed
+        switching = [v for v in rep.identity_failures if v.check_id == "switching"]
+        assert [v.trial for v in switching] == [0, 1, 2]
+        assert rep.failures
+        for v in rep.failures + rep.identity_failures:
+            assert v.graph == graphs[v.trial]
 
 
 class TestReport:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import EMPTY3, K2N, K3M, K3N, P3P, oracle_triangles
+from common import EMPTY3, K2N, K3M, K3N, P3P, oracle_graph_error, oracle_parse, oracle_triangles
 from sglap import (
     GraphFormatError,
     SignedEdge,
@@ -26,6 +26,66 @@ def signed_graphs(draw, min_n=1, max_n=8):
     return SignedGraph.from_edges(n, edges)
 
 
+# Parser fuzz alphabet.  A text is a header choice and edge lines on distinct
+# pairs of vertices 1-7, each written in either orientation, with at most one
+# noisy line inserted: a repeated pair, a line of near-miss tokens, or token
+# soup.  Near-misses are header and sign tokens in the wrong place, comments,
+# integers int() accepts beyond plain ASCII (non-ASCII digits, underscores,
+# 20 digits), and every separator that str.split or str.splitlines treats
+# specially.
+_PAIRS = tuple((str(i), str(j)) for i in range(1, 8) for j in range(i + 1, 8))
+_SIGNS = ("+", "-", "+1", "-1")
+_NOISY_IDS = ("1", "2", "3", "0", "-1", "+2", "-0", "1_0", "\u0663", "\uff12",
+              "12345678901234567890", "x", "n", "#", "")
+_NOISY_SIGNS = _SIGNS + ("0", "x", "#", "+ -", "")
+_SPACES = (" ", "  ", "\t", "\xa0", "\u3000")
+_NOISY_SPACES = _SPACES + ("\x0b", "\x0c", "\x1c")
+_BREAKS = ("\n", "\n", "\r\n", "\r", " # c\n", "\x1d", "\x1e", "\x85", "\u2028")
+_HEADERS = ("", "", "", "n 7\n", "n 9\r\n", "# c\nn 7\n", "\n\tn 8\n", "n 5\n", "n 0\n",
+            "n\n", "n 7 7\n", "n x\n", "n \u0667\n", "n 12345678901234567890\n")
+
+
+def _sampled(*alphabets):
+    return st.tuples(*(st.sampled_from(a) for a in alphabets))
+
+
+def _edge_line(spaces, i, j, sign, brk):
+    return f"{spaces[0]}{i}{spaces[1]}{j}{spaces[2]}{sign}{brk}"
+
+
+@st.composite
+def edge_list_texts(draw):
+    edges = draw(st.lists(st.tuples(_sampled(_PAIRS, _SIGNS, _BREAKS), st.booleans(),
+                                    _sampled(_SPACES, _SPACES, _SPACES)),
+                          unique_by=lambda e: e[0][0], max_size=8))
+    lines = []
+    for (pair, sign, brk), flip, spaces in edges:
+        i, j = reversed(pair) if flip else pair
+        lines.append(_edge_line(spaces, i, j, sign, brk))
+    noise = draw(st.sampled_from((None, None, "repeat", "tokens", "soup")))
+    if noise == "repeat" and edges:
+        (i, j), _, _ = draw(st.sampled_from(edges))[0]
+        lines.append(f"{j} {i} -\n")
+    elif noise == "tokens":
+        i, j, sign, brk = draw(_sampled(_NOISY_IDS, _NOISY_IDS, _NOISY_SIGNS, _BREAKS))
+        spaces = draw(_sampled(_NOISY_SPACES, _NOISY_SPACES, _NOISY_SPACES))
+        lines.insert(draw(st.integers(0, len(lines))), _edge_line(spaces, i, j, sign, brk))
+    elif noise == "soup":
+        soup = draw(st.lists(st.sampled_from(_NOISY_IDS + _NOISY_SPACES + _BREAKS), max_size=12))
+        lines.insert(draw(st.integers(0, len(lines))), "".join(soup))
+    return draw(st.sampled_from(_HEADERS)) + "".join(lines)
+
+
+# Constructor inputs: ordered edges on vertices 1-6, where the same pair with
+# both signs is common, plus at most one unordered, out-of-range or bad-sign
+# triple.
+_ordered_edges = st.builds(lambda pair, sign: SignedEdge(*pair, sign),
+                           st.sampled_from([(i, j) for i in range(1, 7) for j in range(i + 1, 7)]),
+                           st.sampled_from((1, -1)))
+_any_edges = st.builds(SignedEdge, st.integers(0, 7), st.integers(0, 7),
+                       st.sampled_from((1, -1, 0, 2)))
+
+
 class TestSignedGraph:
     def test_from_edges_normalizes_order(self):
         g = SignedGraph.from_edges(3, [(3, 1, -1)])
@@ -38,6 +98,21 @@ class TestSignedGraph:
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError, match="duplicate"):
             SignedGraph.from_edges(3, [(1, 2, 1), (2, 1, -1)])
+        with pytest.raises(ValueError, match="duplicate edge between 1 and 2"):
+            SignedGraph(3, frozenset({SignedEdge(1, 2, 1), SignedEdge(1, 2, -1)}))
+
+    @given(st.sampled_from((6, 6, 6, 5, 0)), st.frozensets(_ordered_edges, max_size=12),
+           st.frozensets(_any_edges, max_size=1))
+    @settings(max_examples=300)
+    def test_constructor_errors_match_oracle(self, n, edges, noise):
+        edges |= noise
+        want = oracle_graph_error(n, edges)
+        if want is None:
+            assert SignedGraph(n, edges).edges == edges
+        else:
+            with pytest.raises(ValueError) as got:
+                SignedGraph(n, edges)
+            assert str(got.value) == want
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -118,6 +193,20 @@ class TestParser:
     def test_header_only(self):
         g = parse_signed_graph("n 5\n")
         assert g.n == 5 and g.m == 0
+
+    @given(st.one_of(edge_list_texts(), st.text()))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle_parser(self, text):
+        try:
+            want = oracle_parse(text)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse_signed_graph(text)
+            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+        else:
+            got = parse_signed_graph(text)
+            assert got == want
+            assert all(type(e) is SignedEdge for e in got.edges)
 
 
 class TestSerializer:
