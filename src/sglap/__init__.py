@@ -61,8 +61,6 @@ from .sgraph import (
     triangle_stats,
 )
 from .spectra import (
-    Spectrum,
-    SymMatrix,
     adjacency,
     eigenvalues,
     laplacian,

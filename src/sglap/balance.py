@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .sgraph import SignedGraph, cached_on_graph
+from .sgraph import SignedEdge, SignedGraph, cached_on_graph
 
 __all__ = [
     "SwitchingFunction",
@@ -73,8 +73,8 @@ def switch(g: SignedGraph, th: SwitchingFunction) -> SignedGraph:
     """
     if len(th) != g.n:
         raise ValueError(f"switching function has length {len(th)}, graph has {g.n} vertices")
-    return SignedGraph.from_edges(
-        g.n, [(e.i, e.j, th[e.i] * e.sign * th[e.j]) for e in g.edges]
+    return SignedGraph(
+        g.n, frozenset([SignedEdge(e.i, e.j, th[e.i] * e.sign * th[e.j]) for e in g.edges])
     )
 
 

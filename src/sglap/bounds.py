@@ -20,7 +20,6 @@ from typing import Callable
 from .balance import induced_sign_subgraph, is_connected, laplacian_rank
 from .sgraph import SignedGraph, degree_profile, triangle_stats
 from .spectra import (
-    Spectrum,
     eigenvalues,
     laplacian,
     rayleigh_moment,
@@ -343,14 +342,15 @@ def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    """Every signed-catalog bound on one graph plus its exact spectrum."""
+    """Every signed-catalog bound on one graph plus its exact spectrum,
+    ascending."""
 
     results: tuple[BoundResult, ...]
-    spectrum: Spectrum
+    spectrum: tuple[float, ...]
 
     @property
     def lambda_max(self) -> float:
-        return self.spectrum.lambda_max
+        return self.spectrum[-1]
 
 
 def sandwich_violations(
@@ -394,7 +394,7 @@ def evaluate_all(g: SignedGraph, tol: float = DEFAULT_TOL, check: bool = True) -
     )
     spectrum = eigenvalues(laplacian(g))
     if check:
-        bad = sandwich_violations(results, spectrum.lambda_max, tol)
+        bad = sandwich_violations(results, spectrum[-1], tol)
         if bad:
             detail = "; ".join(f"{r.bound_id}={r.value!r} off by {mag:.3e}" for r, mag in bad)
             raise InternalInconsistencyError(f"bound sandwich violated: {detail}")

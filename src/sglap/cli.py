@@ -38,8 +38,7 @@ def _cmd_bounds(args, tol: float) -> int:
 
 def _cmd_spectrum(args, tol: float) -> int:
     g = _load(args.input)
-    spec = eigenvalues(laplacian(g))
-    print(" ".join(f"{v:.6g}" for v in spec.values))
+    print(" ".join(f"{v:.6g}" for v in eigenvalues(laplacian(g))))
     return 0
 
 
@@ -139,8 +138,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, tol)
-    except (GraphFormatError, GenerationError, InternalInconsistencyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphFormatError, GenerationError, InternalInconsistencyError, MemoryError,
+            OSError, ValueError) as exc:
+        # A MemoryError usually carries no message, so name its type.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

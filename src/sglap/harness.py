@@ -196,7 +196,7 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
             if got != want:
                 bad_identity.append((check_id, float(got), float(want), float(abs(got - want))))
 
-        num_rank = sum(1 for v in ev.spectrum.values if v > RANK_TOL)
+        num_rank = sum(1 for v in ev.spectrum if v > RANK_TOL)
         want_rank = laplacian_rank(g)
         if num_rank != want_rank:
             bad_identity.append(("rank", float(num_rank), float(want_rank),
@@ -204,7 +204,7 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
 
         th = _random_switching(SplitMix64(th_seed), g.n)
         switched = eigenvalues(laplacian(switch(g, th)))
-        diff = max(abs(a - b) for a, b in zip(ev.spectrum.values, switched.values))
+        diff = max(abs(a - b) for a, b in zip(ev.spectrum, switched))
         if diff > tol:
             bad_identity.append(("switching", diff, 0.0, diff))
 

@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
+    "MAX_VERTICES",
     "GraphFormatError",
     "SignedEdge",
     "SignedGraph",
@@ -27,6 +28,11 @@ __all__ = [
 ]
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+
+# Largest vertex count the parser accepts.  Statistics size per-vertex
+# lists by n and matrices by n^2, so a few bytes of header must not be able
+# to ask for more.
+MAX_VERTICES = 1_000_000
 
 
 class GraphFormatError(ValueError):
@@ -248,11 +254,13 @@ def parse_signed_graph(text: str) -> SignedGraph:
     Format: an optional first line ``n <count>``; one edge per line as
     ``<i> <j> <sign>`` with sign one of ``+``, ``-``, ``+1``, ``-1``;
     ``#`` starts a comment; blank lines are ignored; LF or CRLF endings.
-    Without a header the vertex count is the largest index seen.
+    Without a header the vertex count is the largest index seen.  Neither
+    may exceed :data:`MAX_VERTICES`.
 
     Raises:
         GraphFormatError: malformed line, duplicate edge, self-loop, index
-            out of range, or missing sign token, with the line number.
+            out of range, vertex count over the limit, or missing sign
+            token, with the line number.
     """
     header_n: int | None = None
     saw_content = False
@@ -285,6 +293,10 @@ def parse_signed_graph(text: str) -> SignedGraph:
                         ) from None
                     if header_n < 1:
                         raise GraphFormatError(line_no, "vertex count must be positive")
+                    if header_n > MAX_VERTICES:
+                        raise GraphFormatError(
+                            line_no, f"vertex count {header_n} exceeds the limit {MAX_VERTICES}"
+                        )
                     continue
             if len(tokens) == 2:
                 raise GraphFormatError(line_no, "missing sign token")
@@ -312,6 +324,11 @@ def parse_signed_graph(text: str) -> SignedGraph:
         if first != line_no:
             raise GraphFormatError(line_no, f"duplicate edge {i} {j} (first on line {first})")
         if j > max_index:
+            # Reached only with no header, whose count already bounds j.
+            if j > MAX_VERTICES:
+                raise GraphFormatError(
+                    line_no, f"vertex index {j} exceeds the limit {MAX_VERTICES}"
+                )
             max_index = j
         add_edge(new_edge(SignedEdge, (i, j, sign)))
     if header_n is None:

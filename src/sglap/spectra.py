@@ -1,22 +1,21 @@
-"""Dense symmetric matrices for signed graphs, their LAPACK eigenvalues,
-and exact trace / Rayleigh moments.
+"""Dense matrices of signed graphs, their LAPACK eigenvalues, and exact
+trace / Rayleigh moments.
 
-Matrices built from graphs keep an integer dtype so trace computations are
-exact; floating point enters only through the eigensolver and bound values.
+``adjacency`` and ``laplacian`` return read-only int64 numpy arrays, so
+trace computations are exact; floating point enters only through the
+eigensolver and bound values.  ``eigenvalues`` takes any square symmetric
+2-D array-like and returns its spectrum as an ascending tuple of floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .sgraph import SignedGraph, cached_on_graph, degree_profile
+from .sgraph import SignedEdge, SignedGraph, cached_on_graph, degree_profile
 
 __all__ = [
-    "SymMatrix",
-    "Spectrum",
     "adjacency",
     "laplacian",
     "sign_all",
@@ -27,54 +26,6 @@ __all__ = [
 ]
 
 
-class SymMatrix:
-    """Dense real symmetric matrix with exact (entrywise) symmetry.
-
-    Wraps a read-only numpy array; rejects non-square or asymmetric input.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data):
-        arr = np.array(data, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise ValueError("matrix order must be positive")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("matrix is not symmetric")
-        arr.setflags(write=False)
-        self._data = arr
-
-    @property
-    def order(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(order={self.order}, dtype={self._data.dtype})"
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in ascending order."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("spectrum cannot be empty")
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("eigenvalues must be sorted ascending")
-
-    @property
-    def lambda_max(self) -> float:
-        return self.values[-1]
-
-
 def _edge_index(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # 0-based endpoint arrays and the sign array of g's edges, in one pass.
     flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m)
@@ -82,22 +33,25 @@ def _edge_index(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i - 1, j - 1, sign
 
 
-def adjacency(g: SignedGraph) -> SymMatrix:
+def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
     i, j, sign = _edge_index(g)
     a = np.zeros((g.n, g.n), dtype=np.int64)
     a[i, j] = a[j, i] = sign
-    return SymMatrix(a)
+    a.setflags(write=False)
+    return a
 
 
 @cached_on_graph
-def laplacian(g: SignedGraph) -> SymMatrix:
-    """Laplacian D - A: degrees on the diagonal, negated signs off it."""
+def laplacian(g: SignedGraph) -> np.ndarray:
+    """Laplacian D - A: degrees on the diagonal, negated signs off it.
+    Read-only: the per-graph memo hands one array to every caller."""
     i, j, sign = _edge_index(g)
     m = np.zeros((g.n, g.n), dtype=np.int64)
     m[i, j] = m[j, i] = -sign
     np.fill_diagonal(m, np.bincount(np.concatenate((i, j)), minlength=g.n))
-    return SymMatrix(m)
+    m.setflags(write=False)
+    return m
 
 
 def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
@@ -108,27 +62,35 @@ def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return SignedGraph.from_edges(g.n, [(e.i, e.j, sign) for e in g.edges])
+    return SignedGraph(g.n, frozenset([SignedEdge(e.i, e.j, sign) for e in g.edges]))
 
 
-def eigenvalues(m: SymMatrix) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, ascending, by one LAPACK call.
+def eigenvalues(m) -> tuple[float, ...]:
+    """All eigenvalues of a symmetric 2-D array-like, as ascending floats.
 
-    ``numpy.linalg.eigvalsh`` (LAPACK ``syevd``: tridiagonal reduction, then
-    divide and conquer; Golub & Van Loan, *Matrix Computations*, ch. 8) runs
-    on a float64 copy of the matrix.
+    One ``numpy.linalg.eigvalsh`` call (LAPACK ``syevd``: tridiagonal
+    reduction, then divide and conquer; Golub & Van Loan, *Matrix
+    Computations*, ch. 8) on ``m`` as float64.  It reads one triangle only,
+    so input that is not square, is empty, or is not exactly symmetric (NaN
+    included) raises ``ValueError`` instead.
     """
-    values = np.linalg.eigvalsh(m.data.astype(np.float64))
-    return Spectrum(tuple(values.tolist()))
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("matrix order must be positive")
+    if not (a == a.T).all():
+        raise ValueError("matrix is not symmetric")
+    return tuple(np.linalg.eigvalsh(a).tolist())
 
 
 def spectral_radius_laplacian(g: SignedGraph) -> float:
     """Largest eigenvalue of the signed Laplacian (all of them are >= 0)."""
-    return eigenvalues(laplacian(g)).lambda_max
+    return eigenvalues(laplacian(g))[-1]
 
 
-def trace_moment(m: SymMatrix, k: int):
-    """tr(M^k) for k in {1, 2, 3} by explicit matrix products.
+def trace_moment(a: np.ndarray, k: int):
+    """tr(a^k) for k in {1, 2, 3} by explicit matrix products.
 
     Integer matrices give an exact integer result.  For a signed Laplacian
     the values satisfy tr(L) = s1, tr(L^2) = s2 + s1, and
@@ -136,7 +98,6 @@ def trace_moment(m: SymMatrix, k: int):
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    a = m.data
     if k == 1:
         tr = np.trace(a)
     elif k == 2:

@@ -35,6 +35,7 @@ EMPTY3 = SignedGraph.from_edges(3, [])
 
 
 _ORACLE_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+_ORACLE_MAX_VERTICES = 1_000_000
 
 
 def oracle_parse(text: str) -> SignedGraph:
@@ -62,6 +63,10 @@ def oracle_parse(text: str) -> SignedGraph:
                 raise GraphFormatError(line_no, f"invalid vertex count {tokens[1]!r}") from None
             if header_n < 1:
                 raise GraphFormatError(line_no, "vertex count must be positive")
+            if header_n > _ORACLE_MAX_VERTICES:
+                raise GraphFormatError(
+                    line_no, f"vertex count {header_n} exceeds the limit {_ORACLE_MAX_VERTICES}"
+                )
             continue
         saw_content = True
         if len(tokens) == 2:
@@ -90,6 +95,10 @@ def oracle_parse(text: str) -> SignedGraph:
                 f"duplicate edge {pair[0]} {pair[1]} (first on line {pair_lines[pair]})",
             )
         pair_lines[pair] = line_no
+        if header_n is None and max(i, j) > _ORACLE_MAX_VERTICES:
+            raise GraphFormatError(
+                line_no, f"vertex index {max(i, j)} exceeds the limit {_ORACLE_MAX_VERTICES}"
+            )
         max_index = max(max_index, i, j)
         edges.append(SignedEdge(pair[0], pair[1], sign))
     if header_n is None:

@@ -168,6 +168,28 @@ class TestSwitchCheckCommand:
         assert "theta:" not in out
 
 
+class TestHostileSizes:
+    def test_switch_check_on_huge_headers(self, capsys, tmp_path):
+        paths = []
+        for name in "ab":
+            path = tmp_path / f"{name}.sg"
+            path.write_text("n 12345678901234567890\n1 2 +\n", encoding="utf-8")
+            paths.append(str(path))
+        code, out, err = run(capsys, ["switch-check", "--a", paths[0], "--b", paths[1]])
+        assert code == 2 and not out
+        assert "exceeds the limit" in err
+
+    def test_memory_error_exits_2(self, capsys, graph_file, monkeypatch):
+        def exhausted(g1, g2):
+            raise MemoryError
+
+        monkeypatch.setattr("sglap.cli.switching_equivalent", exhausted)
+        code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
+                                      "--b", graph_file("n", K3N)])
+        assert code == 2 and not out
+        assert err == "error: MemoryError\n"
+
+
 class TestTolOverride:
     def test_sg_tol_env(self, capsys, graph_file, monkeypatch):
         monkeypatch.setenv("SG_TOL", "1e-6")

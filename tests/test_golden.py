@@ -10,6 +10,11 @@ or the table syntax shows up as a byte difference here.
 It also holds the stdout of ``sglap switch-check`` on an equivalent pair,
 whose witness line spans two components and an isolated vertex, and on a
 pair with the same underlying graph and one cycle edge flipped.
+
+Last, it holds the stdout of ``sglap spectrum`` on each graph.  That
+command prints 6 significant digits, so an eigenvalue that is 0 in exact
+arithmetic shows LAPACK's rounding residue (``-1.11022e-16``): these files
+pin the bytes of one LAPACK/BLAS build, not of every platform.
 """
 
 from pathlib import Path
@@ -64,6 +69,12 @@ def test_bounds_bytes(capsys, inputs, name, fmt):
 def test_report_bytes(capsys, inputs, fmt):
     out = stdout_of(capsys, ["report", "--format", fmt, "--inputs", *inputs.values()])
     assert out == golden(f"report.{fmt}")
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_spectrum_bytes(capsys, inputs, name):
+    out = stdout_of(capsys, ["spectrum", "--input", inputs[name]])
+    assert out == golden(f"spectrum-{name}.txt")
 
 
 @pytest.mark.parametrize("name", SWITCH_PAIRS)

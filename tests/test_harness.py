@@ -119,6 +119,15 @@ class TestVerify:
         for v in rep.failures + rep.identity_failures:
             assert v.graph == graphs[v.trial]
 
+    def test_failure_numbers_are_python_floats(self):
+        # FAIL lines print them with repr, where a numpy scalar would read
+        # np.float64(...).
+        cfg = GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31)
+        rep = verify(cfg, 3, tol=-1.0)
+        assert rep.failures and rep.identity_failures
+        for v in rep.failures + rep.identity_failures:
+            assert (type(v.value), type(v.reference), type(v.magnitude)) == (float,) * 3
+
 
 class TestReport:
     def test_header_only_when_no_graphs(self):

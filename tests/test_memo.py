@@ -44,8 +44,8 @@ def assert_stats_equal_fresh(g: SignedGraph) -> None:
     for stat in STATS:
         assert stat(g) == stat(fresh)
     assert dict(g.neighbor_map()) == dict(fresh.neighbor_map())
-    assert laplacian(g).data.dtype == laplacian(fresh).data.dtype
-    assert np.array_equal(laplacian(g).data, laplacian(fresh).data)
+    assert laplacian(g).dtype == laplacian(fresh).dtype
+    assert np.array_equal(laplacian(g), laplacian(fresh))
 
 
 def warm(g: SignedGraph) -> None:
@@ -85,7 +85,7 @@ class TestMemoMatchesFresh:
         with pytest.raises(TypeError):
             g.neighbor_map()[1] = ()
         with pytest.raises(ValueError):
-            laplacian(g).data[0, 0] = 7
+            laplacian(g)[0, 0] = 7
 
 
 class TestRepeatedEvaluation:
@@ -135,7 +135,7 @@ class TestDerivedGraphsStartEmpty:
         assert degree_profile(neg).d_neg == (2, 2, 2)
         assert triangle_stats(neg).t_net == -1
         assert balance_info(neg).balanced_count == 0
-        assert laplacian(neg).data.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert laplacian(neg).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
         assert_stats_equal_fresh(neg)
         pos = sign_all(g, 1)
         assert balance_info(pos).balanced_count == 1

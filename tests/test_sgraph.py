@@ -194,6 +194,16 @@ class TestParser:
         g = parse_signed_graph("n 5\n")
         assert g.n == 5 and g.m == 0
 
+    def test_vertex_limit(self):
+        assert parse_signed_graph("n 1000000").n == 1_000_000
+        assert parse_signed_graph("1 1000000 +").n == 1_000_000
+        with pytest.raises(GraphFormatError, match="line 1: vertex count 1000001 exceeds the limit"):
+            parse_signed_graph("n 1000001")
+        with pytest.raises(GraphFormatError, match="line 2: vertex index 1000001 exceeds the limit"):
+            parse_signed_graph("1 2 +\n1000001 3 -")
+        with pytest.raises(GraphFormatError, match="vertex count 12345678901234567890 exceeds"):
+            parse_signed_graph("n 12345678901234567890\n1 2 +")
+
     @given(st.one_of(edge_list_texts(), st.text()))
     @settings(max_examples=400, deadline=None)
     def test_matches_oracle_parser(self, text):

@@ -18,7 +18,6 @@ from common import (
     random_graphs,
 )
 from sglap import (
-    SymMatrix,
     adjacency,
     degree_profile,
     eigenvalues,
@@ -32,41 +31,27 @@ from sglap import (
 from test_sgraph import signed_graphs
 
 
-class TestSymMatrix:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix([[0, 1], [2, 0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            SymMatrix([[1, 2, 3], [2, 1, 3]])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix([[float("nan"), 0.0], [0.0, 1.0]])
-
-    def test_read_only(self):
-        m = SymMatrix([[1, 2], [2, 1]])
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 5
-
-
 class TestMatrixConstruction:
     def test_laplacian_examples(self):
-        assert laplacian(K2P).data.tolist() == [[1, -1], [-1, 1]]
-        assert laplacian(K2N).data.tolist() == [[1, 1], [1, 1]]
-        assert laplacian(K3N).data.tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert laplacian(K2P).tolist() == [[1, -1], [-1, 1]]
+        assert laplacian(K2N).tolist() == [[1, 1], [1, 1]]
+        assert laplacian(K3N).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
     def test_adjacency_examples(self):
-        assert adjacency(K2N).data.tolist() == [[0, -1], [-1, 0]]
-        assert adjacency(K3P).data.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert adjacency(K2N).tolist() == [[0, -1], [-1, 0]]
+        assert adjacency(K3P).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         from common import EMPTY3
 
-        assert adjacency(EMPTY3).data.tolist() == [[0] * 3] * 3
+        assert adjacency(EMPTY3).tolist() == [[0] * 3] * 3
 
     def test_integer_dtype(self):
-        assert np.issubdtype(laplacian(K3M).data.dtype, np.integer)
-        assert np.issubdtype(adjacency(K3M).data.dtype, np.integer)
+        assert np.issubdtype(laplacian(K3M).dtype, np.integer)
+        assert np.issubdtype(adjacency(K3M).dtype, np.integer)
+
+    def test_read_only(self):
+        for m in (laplacian(K3M), adjacency(K3M)):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5
 
     def test_sign_all(self):
         assert sign_all(K3M, -1) == K3N
@@ -79,6 +64,27 @@ class TestMatrixConstruction:
 
 
 class TestEigenvalues:
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalues([[0, 1], [2, 0]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues([[1, 2, 3], [2, 1, 3]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            eigenvalues(np.zeros((0, 0)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalues([[float("nan"), 0.0], [0.0, 1.0]])
+
+    def test_returns_ascending_python_floats(self):
+        values = eigenvalues([[2, 1], [1, 2]])
+        assert values == (1.0, 3.0)
+        assert all(type(v) is float for v in values)
+
     @pytest.mark.parametrize(
         "g,expected",
         [
@@ -89,7 +95,7 @@ class TestEigenvalues:
         ],
     )
     def test_known_spectra(self, g, expected):
-        got = eigenvalues(laplacian(g)).values
+        got = eigenvalues(laplacian(g))
         assert len(got) == g.n
         for a, b in zip(got, expected):
             assert a == pytest.approx(b, abs=1e-9)
@@ -100,7 +106,7 @@ class TestEigenvalues:
     def test_one_by_one(self):
         from common import K1
 
-        assert eigenvalues(laplacian(K1)).values == (0.0,)
+        assert eigenvalues(laplacian(K1)) == (0.0,)
 
     def test_spectral_radius_examples(self):
         assert spectral_radius_laplacian(K3N) == pytest.approx(4.0, abs=1e-9)
@@ -111,7 +117,7 @@ class TestEigenvalues:
     @settings(max_examples=100, deadline=None)
     def test_against_jacobi_oracle(self, g):
         lap = laplacian(g)
-        ours = np.array(eigenvalues(lap).values)
+        ours = np.array(eigenvalues(lap))
         ref = oracle_eigs(oracle_laplacian(g))
         assert np.max(np.abs(ours - ref)) < 1e-9
 
@@ -119,9 +125,9 @@ class TestEigenvalues:
     @settings(max_examples=100, deadline=None)
     def test_laplacian_spectrum_shape(self, g):
         spec = eigenvalues(laplacian(g))
-        assert abs(sum(spec.values) - trace_moment(laplacian(g), 1)) <= 1e-9 * g.n
-        assert spec.values[0] >= -1e-9
-        assert spec.lambda_max == spec.values[-1]
+        assert abs(sum(spec) - trace_moment(laplacian(g), 1)) <= 1e-9 * g.n
+        assert spec[0] >= -1e-9
+        assert all(a <= b for a, b in zip(spec, spec[1:]))
 
     def test_laplacian_spectrum_shape_seeded_corpus(self):
         # sum(lambda^k) = tr(L^k), an exact integer, for k = 1, 2, 3, from the
@@ -129,9 +135,9 @@ class TestEigenvalues:
         for g in random_graphs(500, base_seed=600, n_max=12, n_min=1):
             lap = laplacian(g)
             spec = eigenvalues(lap)
-            assert len(spec.values) == g.n
-            assert spec.values[0] >= -1e-9
-            for values in (np.array(spec.values), oracle_eigs(oracle_laplacian(g))):
+            assert len(spec) == g.n
+            assert spec[0] >= -1e-9
+            for values in (np.array(spec), oracle_eigs(oracle_laplacian(g))):
                 for k in (1, 2, 3):
                     exact = trace_moment(lap, k)
                     assert isinstance(exact, int)
@@ -141,7 +147,7 @@ class TestEigenvalues:
     def test_rayleigh_ritz_quotients(self):
         rng = np.random.default_rng(42)
         for g in random_graphs(10, base_seed=900, n_max=10):
-            lap = laplacian(g).data.astype(float)
+            lap = laplacian(g).astype(float)
             lmax = spectral_radius_laplacian(g)
             for _ in range(200):
                 x = rng.standard_normal(g.n)
@@ -178,7 +184,7 @@ class TestTraceMoment:
     @settings(max_examples=50, deadline=None)
     def test_matches_eigenvalue_moments(self, g):
         lap = laplacian(g)
-        spec = eigenvalues(lap).values
+        spec = eigenvalues(lap)
         for k in (1, 2, 3):
             want = sum(v ** k for v in spec)
             got = trace_moment(lap, k)
