@@ -2,10 +2,8 @@
 
 from .balance import (
     BalanceInfo,
-    SwitchingFunction,
     SwitchingVerdict,
     balance_info,
-    component_count,
     induced_sign_subgraph,
     is_connected,
     laplacian_rank,
@@ -13,7 +11,6 @@ from .balance import (
     switching_equivalent,
 )
 from .bounds import (
-    CATALOG,
     DEFAULT_TOL,
     SIGNED_CATALOG,
     UNSIGNED_CATALOG,

@@ -1,8 +1,10 @@
 """Switching, balance detection, component counts, and switching equivalence.
 
-A component is balanced when every cycle in it has positive sign product,
-or equivalently when some vertex signing switches it to all-positive edges.
-The Laplacian rank is the vertex count minus the balanced-component count.
+A switching function is a plain tuple of +1/-1 values, one per vertex, with
+th(v) = ``th[v - 1]``.  A component is balanced when every cycle in it has
+positive sign product, or equivalently when some switching function turns
+it all-positive.  The Laplacian rank is the vertex count minus the
+balanced-component count.
 """
 
 from __future__ import annotations
@@ -13,36 +15,15 @@ from typing import NamedTuple, Optional
 from .sgraph import SignedEdge, SignedGraph, cached_on_graph
 
 __all__ = [
-    "SwitchingFunction",
     "BalanceInfo",
     "SwitchingVerdict",
     "switch",
     "balance_info",
-    "component_count",
     "is_connected",
     "laplacian_rank",
     "switching_equivalent",
     "induced_sign_subgraph",
 ]
-
-
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """A +1/-1 value per vertex; index with a 1-based vertex id, ``fn[v]``."""
-
-    theta: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(t not in (1, -1) for t in self.theta):
-            raise ValueError("switching values must be +1 or -1")
-
-    def __len__(self) -> int:
-        return len(self.theta)
-
-    def __getitem__(self, vertex: int) -> int:
-        if not 1 <= vertex <= len(self.theta):
-            raise IndexError(f"vertex {vertex} out of range 1..{len(self.theta)}")
-        return self.theta[vertex - 1]
 
 
 @dataclass(frozen=True)
@@ -58,23 +39,29 @@ class BalanceInfo:
     balanced_count: int
     component_labels: tuple[int, ...]
     component_balanced: tuple[bool, ...]
-    certificate: SwitchingFunction
+    certificate: tuple[int, ...]
 
 
 class SwitchingVerdict(NamedTuple):
     equivalent: bool
-    witness: Optional[SwitchingFunction]
+    witness: Optional[tuple[int, ...]]
 
 
-def switch(g: SignedGraph, th: SwitchingFunction) -> SignedGraph:
-    """Switched graph: each edge sign becomes th[i] * sign * th[j].
+def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
+    """Switched graph: each edge sign becomes th(i) * sign * th(j).
 
     Involutive: switching twice by the same function restores ``g``.
+
+    Raises:
+        ValueError: ``th`` does not hold one value per vertex, or a value
+            is not +1 or -1.
     """
     if len(th) != g.n:
         raise ValueError(f"switching function has length {len(th)}, graph has {g.n} vertices")
+    if not set(th) <= {1, -1}:
+        raise ValueError("switching values must be +1 or -1")
     return SignedGraph(
-        g.n, frozenset([SignedEdge(e.i, e.j, th[e.i] * e.sign * th[e.j]) for e in g.edges])
+        g.n, frozenset([SignedEdge(i, j, th[i - 1] * s * th[j - 1]) for i, j, s in g.edges])
     )
 
 
@@ -126,12 +113,8 @@ def balance_info(g: SignedGraph) -> BalanceInfo:
         balanced_count=sum(balanced),
         component_labels=tuple(labels),
         component_balanced=tuple(balanced),
-        certificate=SwitchingFunction(tuple(theta)),
+        certificate=tuple(theta),
     )
-
-
-def component_count(g: SignedGraph) -> int:
-    return balance_info(g).component_count
 
 
 def is_connected(g: SignedGraph) -> bool:
@@ -172,7 +155,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
         product[j].append((i, p))
     _, theta, balanced = _propagate_signs(g1.n, product)
     if all(balanced):
-        return SwitchingVerdict(True, SwitchingFunction(tuple(theta)))
+        return SwitchingVerdict(True, tuple(theta))
     return no
 
 

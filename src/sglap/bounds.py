@@ -37,7 +37,6 @@ __all__ = [
     "BoundEvaluation",
     "SIGNED_CATALOG",
     "UNSIGNED_CATALOG",
-    "CATALOG",
     "lb_net_mean",
     "lb_net_sq",
     "lb_net_cubic",
@@ -476,9 +475,7 @@ UNSIGNED_CATALOG: tuple[BoundCatalogEntry, ...] = (
                       signed_bound=lb_trace_cubic_b),
 )
 
-CATALOG: tuple[BoundCatalogEntry, ...] = SIGNED_CATALOG + UNSIGNED_CATALOG
-
-_ids = [e.bound_id for e in CATALOG]
+_ids = [e.bound_id for e in SIGNED_CATALOG + UNSIGNED_CATALOG]
 if len(_ids) != len(set(_ids)):
     raise AssertionError("bound catalog ids are not unique")
 del _ids

@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .balance import SwitchingFunction, is_connected, laplacian_rank, switch
+from .balance import is_connected, laplacian_rank, switch
 from .bounds import (
     DEFAULT_TOL,
     SIGNED_CATALOG,
@@ -124,9 +124,12 @@ def generate(cfg: GeneratorConfig) -> SignedGraph:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed check: the graph, the check id, and how far off it was."""
+    """One failed check: the trial, its graph seed and graph, the check id,
+    and how far off it was.  ``generate(replace(cfg, seed=seed))`` rebuilds
+    the graph."""
 
     trial: int
+    seed: int
     graph: str
     check_id: str
     value: float
@@ -145,8 +148,8 @@ class VerificationReport:
         return not self.failures and not self.identity_failures
 
 
-def _random_switching(rng: SplitMix64, n: int) -> SwitchingFunction:
-    return SwitchingFunction(tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(n)))
+def _random_switching(rng: SplitMix64, n: int) -> tuple[int, ...]:
+    return tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(n))
 
 
 def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -210,8 +213,8 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
 
         if bad or bad_identity:
             text = serialize_signed_graph(g)
-            failures += [Violation(trial, text, *v) for v in bad]
-            identity += [Violation(trial, text, *v) for v in bad_identity]
+            failures += [Violation(trial, g_seed, text, *v) for v in bad]
+            identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
 
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))

@@ -21,7 +21,6 @@ from sglap import (
     SIGNED_CATALOG,
     GeneratorConfig,
     SplitMix64,
-    SwitchingFunction,
     degree_profile,
     eigenvalues,
     evaluate_all,
@@ -174,9 +173,7 @@ def test_06_switching_invariance(corpus_500):
     failures = []
     rng = SplitMix64(60_001)
     for g in corpus_500:
-        theta = SwitchingFunction(
-            tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
-        )
+        theta = tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
         switched = switch(g, theta)
         before = eigenvalues(laplacian(g))
         after = eigenvalues(laplacian(switched))
@@ -206,9 +203,7 @@ def test_07_all_negative_equality_characterization():
         if t % 2:
             # forced-equivalent branch: a switched all-negative graph
             rng = SplitMix64(90_000 + t)
-            theta = SwitchingFunction(
-                tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
-            )
+            theta = tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
             g = switch(sign_all(g, -1), theta)
         close = abs(
             spectral_radius_laplacian(g)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import (
+    EMPTY3,
     K2N,
     K2P,
     K3M,
@@ -20,9 +21,7 @@ from common import (
 from sglap import (
     SignedEdge,
     SignedGraph,
-    SwitchingFunction,
     balance_info,
-    component_count,
     eigenvalues,
     induced_sign_subgraph,
     is_connected,
@@ -38,28 +37,29 @@ from test_sgraph import signed_graphs
 @st.composite
 def graphs_with_switchings(draw):
     g = draw(signed_graphs())
-    theta = SwitchingFunction(tuple(draw(st.sampled_from((1, -1))) for _ in range(g.n)))
+    theta = tuple(draw(st.sampled_from((1, -1))) for _ in range(g.n))
     return g, theta
 
 
 class TestSwitch:
     def test_flips_single_edge(self):
-        assert switch(K2N, SwitchingFunction((1, -1))) == K2P
+        assert switch(K2N, (1, -1)) == K2P
 
     def test_triangle_example(self):
-        got = switch(K3N, SwitchingFunction((-1, 1, 1)))
+        got = switch(K3N, (-1, 1, 1))
         assert got == SignedGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, -1)])
 
     def test_identity_switching(self):
-        assert switch(K3M, SwitchingFunction((1, 1, 1))) == K3M
+        assert switch(K3M, (1, 1, 1)) == K3M
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            switch(K3M, SwitchingFunction((1, -1)))
+            switch(K3M, (1, -1))
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            SwitchingFunction((1, 0, 1))
+        for g in (K3M, EMPTY3):  # on EMPTY3 no edge sign would show the 0
+            with pytest.raises(ValueError, match=r"switching values must be \+1 or -1"):
+                switch(g, (1, 0, 1))
 
     @given(graphs_with_switchings())
     @settings(max_examples=200)
@@ -102,7 +102,7 @@ class TestBalanceInfo:
     @given(signed_graphs())
     @settings(max_examples=100)
     def test_component_count_matches_bfs_oracle(self, g):
-        assert component_count(g) == oracle_components(g)
+        assert balance_info(g).component_count == oracle_components(g)
         assert is_connected(g) == (oracle_components(g) == 1)
 
 
@@ -158,7 +158,7 @@ class TestSwitchingEquivalent:
         rng = np.random.default_rng(7)
         for g in base:
             thetas = [
-                SwitchingFunction(tuple(rng.choice((1, -1)) for _ in range(g.n)))
+                tuple(rng.choice((1, -1)) for _ in range(g.n))
                 for _ in range(2)
             ]
             a, b, c = g, switch(g, thetas[0]), switch(g, thetas[1])
@@ -174,7 +174,7 @@ class TestSwitchingEquivalent:
         rng = np.random.default_rng(11)
         checked = 0
         for g in random_graphs(30, base_seed=900, n_min=4, n_max=10):
-            b = switch(g, SwitchingFunction(tuple(rng.choice((1, -1)) for _ in range(g.n))))
+            b = switch(g, tuple(rng.choice((1, -1)) for _ in range(g.n)))
             edges = sorted(b.edges)
             for k, e in enumerate(edges):
                 rest = SignedGraph(g.n, frozenset(edges[:k] + edges[k + 1:]))

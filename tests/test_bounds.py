@@ -19,7 +19,6 @@ from common import (
     random_graphs,
 )
 from sglap import (
-    CATALOG,
     SIGNED_CATALOG,
     UNSIGNED_CATALOG,
     BoundResult,
@@ -271,7 +270,7 @@ class TestUnsignedCorollaries:
 
 class TestCatalog:
     def test_ids_unique(self):
-        ids = [e.bound_id for e in CATALOG]
+        ids = [e.bound_id for e in SIGNED_CATALOG + UNSIGNED_CATALOG]
         assert len(ids) == len(set(ids))
 
     def test_every_bound_registered_once(self):
@@ -281,7 +280,7 @@ class TestCatalog:
         assert unsigned_ids == [r.bound_id for r in unsigned_corollaries(K3M)]
 
     def test_directions_match_results(self):
-        by_id = {e.bound_id: e.direction for e in CATALOG}
+        by_id = {e.bound_id: e.direction for e in SIGNED_CATALOG + UNSIGNED_CATALOG}
         for r in list(evaluate_all(K3M).results) + list(unsigned_corollaries(K3M)):
             assert r.direction == by_id[r.bound_id]
 

@@ -138,7 +138,7 @@ class TestVerifyCommand:
 
         fake = VerificationReport(
             trials=1,
-            failures=(Violation(0, "n 2\n1 2 -\n", "KB-1", 1.0, 2.0, 1.0),),
+            failures=(Violation(0, 77, "n 2\n1 2 -\n", "KB-1", 1.0, 2.0, 1.0),),
             identity_failures=(),
         )
         monkeypatch.setattr("sglap.cli.verify", lambda cfg, trials, tol: fake)
@@ -147,7 +147,7 @@ class TestVerifyCommand:
                                     "--seed", "1"])
         assert code == 1
         assert "result: FAIL" in out
-        assert "check=KB-1" in out
+        assert "FAIL trial=0 seed=77 check=KB-1 " in out
 
 
 class TestSwitchCheckCommand:

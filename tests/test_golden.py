@@ -12,9 +12,10 @@ whose witness line spans two components and an isolated vertex, and on a
 pair with the same underlying graph and one cycle edge flipped.
 
 Last, it holds the stdout of ``sglap spectrum`` on each graph.  That
-command prints 6 significant digits, so an eigenvalue that is 0 in exact
-arithmetic shows LAPACK's rounding residue (``-1.11022e-16``): these files
-pin the bytes of one LAPACK/BLAS build, not of every platform.
+command prints 6 significant digits and prints an eigenvalue within
+n * eps * lambda_max of 0 as ``0``, so the rounding residue LAPACK leaves
+at an exact zero (``-1.11022e-16`` for K3P_K3N on one build) does not
+reach these files.
 """
 
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from common import EMPTY3, K3M, K3P_K3N, P3P
-from sglap import SignedGraph, SwitchingFunction, serialize_signed_graph, switch
+from sglap import SignedGraph, serialize_signed_graph, switch
 from sglap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,7 +31,7 @@ GRAPHS = {"K3M": K3M, "P3P": P3P, "K3P_K3N": K3P_K3N, "EMPTY3": EMPTY3}
 FORMATS = ("md", "csv")
 
 SWITCH_A = SignedGraph.from_edges(6, [(1, 2, 1), (2, 3, 1), (1, 3, -1), (4, 5, -1)])
-SWITCH_B = switch(SWITCH_A, SwitchingFunction((-1, 1, -1, 1, -1, -1)))
+SWITCH_B = switch(SWITCH_A, (-1, 1, -1, 1, -1, -1))
 SWITCH_C = SignedGraph.from_edges(
     6, [(e.i, e.j, -e.sign if (e.i, e.j) == (1, 2) else e.sign) for e in SWITCH_B.edges]
 )

@@ -118,6 +118,7 @@ class TestVerify:
         assert rep.failures
         for v in rep.failures + rep.identity_failures:
             assert v.graph == graphs[v.trial]
+            assert serialize_signed_graph(generate(replace(cfg, seed=v.seed))) == v.graph
 
     def test_failure_numbers_are_python_floats(self):
         # FAIL lines print them with repr, where a numpy scalar would read

@@ -4,12 +4,16 @@ from hypothesis import strategies as st
 
 from common import EMPTY3, K2N, K3M, K3N, P3P, oracle_graph_error, oracle_parse, oracle_triangles
 from sglap import (
+    GeneratorConfig,
     GraphFormatError,
     SignedEdge,
     SignedGraph,
     degree_profile,
+    generate,
+    laplacian,
     parse_signed_graph,
     serialize_signed_graph,
+    trace_moment,
     triangle_stats,
 )
 
@@ -323,3 +327,26 @@ class TestTriangleStats:
         assert (stats.t, stats.t_pos, stats.t_neg) == (t, t_pos, t_neg)
         assert stats.t_net == t_pos - t_neg
         assert abs(stats.t_net) <= stats.t
+
+    # The Hypothesis graphs stop at n = 8; these twelve reach n = 150, where
+    # each neighbor bitmask spans several machine words, and cover each of
+    # the six (density, neg_prob) mixes twice.
+    @pytest.mark.parametrize(
+        "n,edge_prob,neg_prob",
+        [(9 + 141 * k // 11, 0.8 if k % 2 == 0 else 0.08, (0.0, 0.5, 1.0)[k % 3])
+         for k in range(12)],
+    )
+    def test_matches_brute_force_beyond_one_word(self, n, edge_prob, neg_prob):
+        g = generate(GeneratorConfig(n=n, edge_prob=edge_prob, neg_prob=neg_prob, seed=7 + n))
+        stats = triangle_stats(g)
+        assert (stats.t, stats.t_pos, stats.t_neg) == oracle_triangles(g)
+        assert stats.t > 0
+
+    def test_trace_identity_dense_n200(self):
+        # tr(L^3) = s3 + 3 s2 - 6 t_net, with t_net from the bitmasks and the
+        # trace from an exact integer matrix product.
+        g = generate(GeneratorConfig(n=200, edge_prob=0.9, neg_prob=0.5, seed=200))
+        prof = degree_profile(g)
+        stats = triangle_stats(g)
+        assert 6 * stats.t_net == prof.s3 + 3 * prof.s2 - trace_moment(laplacian(g), 3)
+        assert stats.t > 900_000
