@@ -49,7 +49,6 @@ from .harness import (
 from .sgraph import (
     DegreeProfile,
     GraphFormatError,
-    SignedEdge,
     SignedGraph,
     TriangleStats,
     degree_profile,
@@ -58,7 +57,6 @@ from .sgraph import (
     triangle_stats,
 )
 from .spectra import (
-    adjacency,
     eigenvalues,
     laplacian,
     rayleigh_moment,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .sgraph import SignedEdge, SignedGraph, cached_on_graph
+from .sgraph import SignedGraph, cached_on_graph
 
 __all__ = [
     "BalanceInfo",
@@ -61,7 +61,7 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
     if not set(th) <= {1, -1}:
         raise ValueError("switching values must be +1 or -1")
     return SignedGraph(
-        g.n, frozenset([SignedEdge(i, j, th[i - 1] * s * th[j - 1]) for i, j, s in g.edges])
+        g.n, frozenset([(i, j, th[i - 1] * s * th[j - 1]) for i, j, s in g.edges])
     )
 
 
@@ -105,9 +105,15 @@ def balance_info(g: SignedGraph) -> BalanceInfo:
 
     Each component root gets theta = +1 and every newly reached vertex gets
     theta(v) = sign(uv) * theta(u); the component is balanced iff every edge
-    satisfies sign = theta(i) * theta(j).
+    satisfies sign = theta(i) * theta(j).  Neighbor lists are built from the
+    sorted edges, so each ascends and the certificate on an unbalanced
+    component does not depend on the order ``g.edges`` iterates in.
     """
-    labels, theta, balanced = _propagate_signs(g.n, g.neighbor_map())
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for i, j, s in sorted(g.edges):
+        nbrs[i].append((j, s))
+        nbrs[j].append((i, s))
+    labels, theta, balanced = _propagate_signs(g.n, nbrs)
     return BalanceInfo(
         component_count=len(balanced),
         balanced_count=sum(balanced),
@@ -163,5 +169,5 @@ def induced_sign_subgraph(g: SignedGraph, sign: int) -> SignedGraph:
     """Subgraph on the same vertex set keeping only edges of ``sign``."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return SignedGraph(g.n, frozenset(e for e in g.edges if e.sign == sign))
+    return SignedGraph(g.n, frozenset([(i, j, s) for i, j, s in g.edges if s == sign]))
 

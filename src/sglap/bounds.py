@@ -231,9 +231,9 @@ def ub_wang_edge(g: SignedGraph) -> BoundResult:
         return _na("UB-WANG-EDGE", UPPER, _NO_EDGE)
     prof = degree_profile(g)
     best = 0.0
-    for e in g.edges:
-        di, dj = prof.d[e.i - 1], prof.d[e.j - 1]
-        inner = di * prof.nds[e.i - 1] + dj * prof.nds[e.j - 1] - 2 * di * dj
+    for i, j, _ in g.edges:
+        di, dj = prof.d[i - 1], prof.d[j - 1]
+        inner = di * prof.nds[i - 1] + dj * prof.nds[j - 1] - 2 * di * dj
         if inner < 0:
             raise InternalInconsistencyError(f"UB-WANG-EDGE: inner term {inner} < 0")
         best = max(best, (di + dj - 2) * inner / (di * dj))
@@ -294,13 +294,13 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
     kb1 = 0.0
     kb2_rad = None
     kb4 = 0.0
-    for e in g.edges:
-        di, dj = prof.d[e.i - 1], prof.d[e.j - 1]
-        si, sj = nds[e.i - 1], nds[e.j - 1]
+    for i, j, _ in g.edges:
+        di, dj = prof.d[i - 1], prof.d[j - 1]
+        si, sj = nds[i - 1], nds[j - 1]
         kb1 = max(kb1, (di * di + si + dj * dj + sj) / (di + dj))
         rad = di * di + si - 4 * di + dj * dj + sj - 4 * dj + 4
         if rad < 0:
-            raise InternalInconsistencyError(f"KB-2: radicand {rad} < 0 on edge {e.i},{e.j}")
+            raise InternalInconsistencyError(f"KB-2: radicand {rad} < 0 on edge {i},{j}")
         kb2_rad = rad if kb2_rad is None else max(kb2_rad, rad)
         kb4 = max(kb4, (di + dj + math.sqrt((di - dj) ** 2 + 4 * math.sqrt(si * sj))) / 2.0)
     kb3 = max(d + math.sqrt(s) for d, s in zip(prof.d, nds))

@@ -116,7 +116,7 @@ def generate(cfg: GeneratorConfig) -> SignedGraph:
                 if rng.next_float() < cfg.edge_prob:
                     sign = -1 if rng.next_float() < cfg.neg_prob else 1
                     edges.append((i, j, sign))
-        g = SignedGraph.from_edges(cfg.n, edges)
+        g = SignedGraph(cfg.n, frozenset(edges))
         if not cfg.require_connected or is_connected(g):
             return g
     raise GenerationError(attempts)

@@ -1,7 +1,8 @@
 """Signed-graph data model, edge-list text format, and degree/triangle statistics.
 
-Vertices are numbered 1..n.  Edges are unordered pairs carrying a sign of
-+1 or -1; graphs are simple (no loops, no parallel edges).  All types are
+Vertices are numbered 1..n.  An edge is a plain ``(i, j, sign)`` tuple
+with i < j and sign +1 or -1, and a graph's frozenset of them is its only
+edge form; graphs are simple (no loops, no parallel edges).  All types are
 immutable after construction; every operation here is a pure function.
 Statistics of a graph are memoised on the graph object itself (see
 :func:`cached_on_graph`), so each is computed once per graph.  Triangles
@@ -14,13 +15,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "MAX_VERTICES",
     "GraphFormatError",
-    "SignedEdge",
     "SignedGraph",
     "DegreeProfile",
     "TriangleStats",
@@ -67,17 +66,12 @@ def cached_on_graph(fn):
     return cached
 
 
-class SignedEdge(NamedTuple):
-    i: int
-    j: int
-    sign: int
-
-
 @dataclass(frozen=True)
 class SignedGraph:
     """A simple undirected graph on vertices 1..n with +1/-1 edge signs.
 
-    ``edges`` holds normalized ``SignedEdge`` records with ``i < j``.
+    ``edges`` holds plain ``(i, j, sign)`` tuples with ``i < j``; it is the
+    graph's only edge form, and every statistic reads it directly.
     Construct directly with an already-normalized frozenset, or use
     :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.
     ``_memo`` holds the statistics computed on this instance; it takes no
@@ -85,7 +79,7 @@ class SignedGraph:
     """
 
     n: int
-    edges: frozenset[SignedEdge]
+    edges: frozenset[tuple[int, int, int]]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,22 +113,13 @@ class SignedGraph:
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge between {a} and {b}")
             seen.add((a, b))
-            normalized.append(SignedEdge(a, b, sign))
+            normalized.append((a, b, sign))
         return cls(n, frozenset(normalized))
 
     @property
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
-
-    @cached_on_graph
-    def neighbor_map(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
-        """Read-only map of each vertex to its sorted (neighbor, sign) pairs."""
-        acc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
-        for e in self.edges:
-            acc[e.i].append((e.j, e.sign))
-            acc[e.j].append((e.i, e.sign))
-        return MappingProxyType({v: tuple(sorted(pairs)) for v, pairs in acc.items()})
 
 
 @dataclass(frozen=True)
@@ -185,19 +170,25 @@ class TriangleStats:
 @cached_on_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
-    nbrs = g.neighbor_map()
-    d, d_pos, d_neg = [], [], []
-    for v in range(1, g.n + 1):
-        inc = nbrs[v]
-        pos = sum(1 for _, s in inc if s > 0)
-        d.append(len(inc))
-        d_pos.append(pos)
-        d_neg.append(len(inc) - pos)
-    nds = [sum(d[u - 1] for u, _ in nbrs[v]) for v in range(1, g.n + 1)]
+    # Lists indexed by vertex number; slot 0 is unused.
+    deg = [0] * (g.n + 1)
+    neg = [0] * (g.n + 1)
+    for i, j, s in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+        if s < 0:
+            neg[i] += 1
+            neg[j] += 1
+    nbr_deg = [0] * (g.n + 1)
+    for i, j, _ in g.edges:
+        nbr_deg[i] += deg[j]
+        nbr_deg[j] += deg[i]
+    d, d_neg, nds = deg[1:], neg[1:], nbr_deg[1:]
+    d_pos = [k - q for k, q in zip(d, d_neg)]
     s1 = sum(d)
     s2 = sum(x * x for x in d)
     s3 = sum(x ** 3 for x in d)
-    edge_degs = [d[e.i - 1] + d[e.j - 1] - 2 for e in g.edges]
+    edge_degs = [deg[i] + deg[j] - 2 for i, j, _ in g.edges]
     return DegreeProfile(
         d=tuple(d),
         d_pos=tuple(d_pos),
@@ -260,16 +251,13 @@ def parse_signed_graph(text: str) -> SignedGraph:
     """
     header_n: int | None = None
     saw_content = False
-    edges: list[SignedEdge] = []
+    edges: list[tuple[int, int, int]] = []
     pair_lines: dict[tuple[int, int], int] = {}
     max_index = 0
-    # Per-line work is bound to locals.  tuple.__new__ builds a SignedEdge
-    # from a ready (i, j, sign) tuple without the Python-level namedtuple
-    # constructor.
+    # Per-line work is bound to locals.
     first_line = pair_lines.setdefault
     add_edge = edges.append
     sign_of = _SIGN_TOKENS.get
-    new_edge = tuple.__new__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         # Past the first content line every 3-token line is an edge line.
@@ -326,7 +314,7 @@ def parse_signed_graph(text: str) -> SignedGraph:
                     line_no, f"vertex index {j} exceeds the limit {MAX_VERTICES}"
                 )
             max_index = j
-        add_edge(new_edge(SignedEdge, (i, j, sign)))
+        add_edge((i, j, sign))
     if header_n is None:
         if not edges:
             raise GraphFormatError(1, "empty input: need a header line or at least one edge")
@@ -337,6 +325,6 @@ def parse_signed_graph(text: str) -> SignedGraph:
 def serialize_signed_graph(g: SignedGraph) -> str:
     """Render ``g`` in the edge-list format; round-trips through the parser."""
     lines = [f"n {g.n}"]
-    for e in sorted(g.edges):
-        lines.append(f"{e.i} {e.j} {'+' if e.sign > 0 else '-'}")
+    for i, j, s in sorted(g.edges):
+        lines.append(f"{i} {j} {'+' if s > 0 else '-'}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
 """Dense matrices of signed graphs, their LAPACK eigenvalues, and exact
 trace / Rayleigh moments.
 
-``adjacency`` and ``laplacian`` return read-only int64 numpy arrays, so
-trace computations are exact; floating point enters only through the
+``laplacian`` returns a read-only int64 numpy array, so trace
+computations are exact; floating point enters only through the
 eigensolver and bound values.  ``eigenvalues`` takes any square symmetric
 2-D array-like and returns its spectrum as an ascending tuple of floats.
 """
@@ -13,10 +13,9 @@ import itertools
 
 import numpy as np
 
-from .sgraph import SignedEdge, SignedGraph, cached_on_graph, degree_profile
+from .sgraph import SignedGraph, cached_on_graph, degree_profile
 
 __all__ = [
-    "adjacency",
     "laplacian",
     "sign_all",
     "eigenvalues",
@@ -26,27 +25,14 @@ __all__ = [
 ]
 
 
-def _edge_index(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # 0-based endpoint arrays and the sign array of g's edges, in one pass.
-    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m)
-    i, j, sign = flat.reshape(-1, 3).T
-    return i - 1, j - 1, sign
-
-
-def adjacency(g: SignedGraph) -> np.ndarray:
-    """Signed adjacency matrix: entry (i, j) is the sign of edge ij, else 0."""
-    i, j, sign = _edge_index(g)
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    a[i, j] = a[j, i] = sign
-    a.setflags(write=False)
-    return a
-
-
 @cached_on_graph
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Laplacian D - A: degrees on the diagonal, negated signs off it.
     Read-only: the per-graph memo hands one array to every caller."""
-    i, j, sign = _edge_index(g)
+    # Endpoint and sign arrays of g's edges, read in one pass.
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m)
+    i, j, sign = flat.reshape(-1, 3).T
+    i, j = i - 1, j - 1
     m = np.zeros((g.n, g.n), dtype=np.int64)
     m[i, j] = m[j, i] = -sign
     np.fill_diagonal(m, np.bincount(np.concatenate((i, j)), minlength=g.n))
@@ -62,7 +48,7 @@ def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return SignedGraph(g.n, frozenset([SignedEdge(e.i, e.j, sign) for e in g.edges]))
+    return SignedGraph(g.n, frozenset([(i, j, sign) for i, j, _ in g.edges]))
 
 
 def eigenvalues(m) -> tuple[float, ...]:
@@ -126,5 +112,5 @@ def rayleigh_moment(g: SignedGraph, k: int) -> int:
         return 2 * sum(dn)
     if k == 2:
         return 4 * sum(x * x for x in dn)
-    cross = sum(e.sign * dn[e.i - 1] * dn[e.j - 1] for e in g.edges)
+    cross = sum(s * dn[i - 1] * dn[j - 1] for i, j, s in g.edges)
     return 4 * sum(d * x * x for d, x in zip(prof.d, dn)) - 8 * cross

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from sglap import GeneratorConfig, GraphFormatError, SignedEdge, SignedGraph, generate
+from sglap import GeneratorConfig, GraphFormatError, SignedGraph, generate
 
 # Small named graphs.  Naming: K/P/STAR + size + signature (P all-positive,
 # N all-negative, M mixed).
@@ -45,7 +45,7 @@ def oracle_parse(text: str) -> SignedGraph:
     text, graphs and errors alike."""
     header_n: int | None = None
     saw_content = False
-    edges: list[SignedEdge] = []
+    edges: list[tuple[int, int, int]] = []
     pair_lines: dict[tuple[int, int], int] = {}
     max_index = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -100,7 +100,7 @@ def oracle_parse(text: str) -> SignedGraph:
                 line_no, f"vertex index {max(i, j)} exceeds the limit {_ORACLE_MAX_VERTICES}"
             )
         max_index = max(max_index, i, j)
-        edges.append(SignedEdge(pair[0], pair[1], sign))
+        edges.append((pair[0], pair[1], sign))
     if header_n is None:
         if not edges:
             raise GraphFormatError(1, "empty input: need a header line or at least one edge")
@@ -116,24 +116,25 @@ def oracle_graph_error(n, edges) -> str | None:
         return f"vertex count must be a positive integer, got {n!r}"
     pairs = set()
     for e in edges:
-        if not (1 <= e.i < e.j <= n):
+        i, j, s = e
+        if not (1 <= i < j <= n):
             return f"edge {e} out of range for n={n} (need 1 <= i < j <= n)"
-        if e.sign not in (1, -1):
-            return f"edge {e} has sign {e.sign!r}, expected +1 or -1"
-        if (e.i, e.j) in pairs:
-            return f"duplicate edge between {e.i} and {e.j}"
-        pairs.add((e.i, e.j))
+        if s not in (1, -1):
+            return f"edge {e} has sign {s!r}, expected +1 or -1"
+        if (i, j) in pairs:
+            return f"duplicate edge between {i} and {j}"
+        pairs.add((i, j))
     return None
 
 
 def oracle_laplacian(g: SignedGraph) -> np.ndarray:
     """Integer Laplacian built directly from the edge list."""
     m = np.zeros((g.n, g.n), dtype=np.int64)
-    for e in g.edges:
-        m[e.i - 1, e.j - 1] = -e.sign
-        m[e.j - 1, e.i - 1] = -e.sign
-        m[e.i - 1, e.i - 1] += 1
-        m[e.j - 1, e.j - 1] += 1
+    for i, j, s in g.edges:
+        m[i - 1, j - 1] = -s
+        m[j - 1, i - 1] = -s
+        m[i - 1, i - 1] += 1
+        m[j - 1, j - 1] += 1
     return m
 
 
@@ -184,7 +185,7 @@ def oracle_trace(g: SignedGraph, k: int) -> int:
 
 def oracle_triangles(g: SignedGraph) -> tuple[int, int, int]:
     """(t, t_pos, t_neg) from a brute-force scan of all vertex triples."""
-    sign_of = {(e.i, e.j): e.sign for e in g.edges}
+    sign_of = {(i, j): s for i, j, s in g.edges}
     t_pos = t_neg = 0
     for a, b, c in itertools.combinations(range(1, g.n + 1), 3):
         if (a, b) in sign_of and (b, c) in sign_of and (a, c) in sign_of:
@@ -197,9 +198,9 @@ def oracle_triangles(g: SignedGraph) -> tuple[int, int, int]:
 
 def _adjacency_sets(g: SignedGraph) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for e in g.edges:
-        adj[e.i].add(e.j)
-        adj[e.j].add(e.i)
+    for i, j, _ in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     return adj
 
 
@@ -257,9 +258,9 @@ def direct_unsigned_bounds(g: SignedGraph) -> dict[str, float | None]:
     import math
 
     deg = [0] * g.n
-    for e in g.edges:
-        deg[e.i - 1] += 1
-        deg[e.j - 1] += 1
+    for i, j, _ in g.edges:
+        deg[i - 1] += 1
+        deg[j - 1] += 1
     n, m = g.n, g.m
     s1 = sum(deg)
     s2 = sum(d * d for d in deg)
@@ -267,7 +268,7 @@ def direct_unsigned_bounds(g: SignedGraph) -> dict[str, float | None]:
     c = oracle_components(g)
     cb = oracle_bipartite_components(g)
     t, _, _ = oracle_triangles(g)
-    sum_didj = sum(deg[e.i - 1] * deg[e.j - 1] for e in g.edges)
+    sum_didj = sum(deg[i - 1] * deg[j - 1] for i, j, _ in g.edges)
     connected = c == 1
 
     def ub(r):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from common import (
     random_graphs,
 )
 from sglap import (
-    SignedEdge,
     SignedGraph,
     balance_info,
     eigenvalues,
@@ -89,9 +90,25 @@ class TestBalanceInfo:
         for g in random_graphs(50, base_seed=300, n_max=10):
             info = balance_info(g)
             switched = switch(g, info.certificate)
-            for e in switched.edges:
-                if info.component_balanced[info.component_labels[e.i - 1]]:
-                    assert e.sign == 1
+            for i, _, s in switched.edges:
+                if info.component_balanced[info.component_labels[i - 1]]:
+                    assert s == 1
+
+    def test_equal_graphs_built_in_different_orders_agree(self):
+        # A set iterates in an order that depends on how it was built; the
+        # certificate on an unbalanced component follows the BFS order, so it
+        # must not follow the edge set's iteration order.
+        rng = random.Random(17)
+        for g in random_graphs(300, base_seed=7_700, n_min=4, n_max=14):
+            want = balance_info(g)
+            edges = list(g.edges)
+            for _ in range(3):
+                rng.shuffle(edges)
+                assert balance_info(SignedGraph.from_edges(g.n, edges)) == want
+            larger = g.edges | {(v, v + 1, -1) for v in range(g.n + 1, g.n + 60)}
+            filtered = SignedGraph(g.n, frozenset(e for e in larger if e[1] <= g.n))
+            assert filtered == g
+            assert balance_info(filtered) == want
 
     @given(signed_graphs())
     @settings(max_examples=100)
@@ -176,11 +193,11 @@ class TestSwitchingEquivalent:
         for g in random_graphs(30, base_seed=900, n_min=4, n_max=10):
             b = switch(g, tuple(rng.choice((1, -1)) for _ in range(g.n)))
             edges = sorted(b.edges)
-            for k, e in enumerate(edges):
+            for k, (i, j, s) in enumerate(edges):
                 rest = SignedGraph(g.n, frozenset(edges[:k] + edges[k + 1:]))
                 if oracle_components(rest) != oracle_components(b):
                     continue  # a bridge lies on no cycle
-                flipped = SignedGraph(g.n, rest.edges | {SignedEdge(e.i, e.j, -e.sign)})
+                flipped = SignedGraph(g.n, rest.edges | {(i, j, -s)})
                 ab, ba = switching_equivalent(g, flipped), switching_equivalent(flipped, g)
                 assert not ab.equivalent and not ba.equivalent
                 assert ab.witness is None and ba.witness is None
@@ -191,7 +208,7 @@ class TestSwitchingEquivalent:
 class TestInducedSubgraphs:
     def test_negative_part_of_mixed_triangle(self):
         got = induced_sign_subgraph(K3M, -1)
-        assert got == SignedGraph(3, frozenset({SignedEdge(1, 3, -1)}))
+        assert got == SignedGraph(3, frozenset({(1, 3, -1)}))
 
     def test_positive_part_of_all_negative(self):
         got = induced_sign_subgraph(K3N, 1)

@@ -50,7 +50,7 @@ CUBE = 1.0 / 3.0
 
 
 def permuted(g: SignedGraph, perm: dict[int, int]) -> SignedGraph:
-    return SignedGraph.from_edges(g.n, [(perm[e.i], perm[e.j], e.sign) for e in g.edges])
+    return SignedGraph.from_edges(g.n, [(perm[i], perm[j], s) for i, j, s in g.edges])
 
 
 class TestNetDegreeLowerBounds:

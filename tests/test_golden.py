@@ -33,7 +33,7 @@ FORMATS = ("md", "csv")
 SWITCH_A = SignedGraph.from_edges(6, [(1, 2, 1), (2, 3, 1), (1, 3, -1), (4, 5, -1)])
 SWITCH_B = switch(SWITCH_A, (-1, 1, -1, 1, -1, -1))
 SWITCH_C = SignedGraph.from_edges(
-    6, [(e.i, e.j, -e.sign if (e.i, e.j) == (1, 2) else e.sign) for e in SWITCH_B.edges]
+    6, [(i, j, -s if (i, j) == (1, 2) else s) for i, j, s in SWITCH_B.edges]
 )
 SWITCH_PAIRS = {"eq": (SWITCH_A, SWITCH_B), "neq": (SWITCH_A, SWITCH_C)}
 

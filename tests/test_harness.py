@@ -46,7 +46,7 @@ class TestGenerate:
     def test_forced_all_positive(self):
         cfg = GeneratorConfig(n=3, edge_prob=1.0, neg_prob=0.0, seed=5)
         got = generate(cfg)
-        assert got.m == 3 and all(e.sign == 1 for e in got.edges)
+        assert got.m == 3 and all(s == 1 for _, _, s in got.edges)
 
     def test_deterministic(self):
         cfg = GeneratorConfig(n=10, edge_prob=0.4, neg_prob=0.3, seed=777)

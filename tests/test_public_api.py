@@ -16,10 +16,10 @@ BOUNDS = ["BoundCatalogEntry", "BoundEvaluation", "BoundResult", "DEFAULT_TOL",
 HARNESS = ["CONNECTIVITY_CAP", "GenerationError", "GeneratorConfig", "RANK_TOL", "SplitMix64",
            "VerificationReport", "Violation", "format_value", "generate", "render_table",
            "report", "verify"]
-SGRAPH = ["DegreeProfile", "GraphFormatError", "MAX_VERTICES", "SignedEdge", "SignedGraph",
+SGRAPH = ["DegreeProfile", "GraphFormatError", "MAX_VERTICES", "SignedGraph",
           "TriangleStats", "degree_profile", "parse_signed_graph", "serialize_signed_graph",
           "triangle_stats"]
-SPECTRA = ["adjacency", "eigenvalues", "laplacian", "rayleigh_moment", "sign_all",
+SPECTRA = ["eigenvalues", "laplacian", "rayleigh_moment", "sign_all",
            "spectral_radius_laplacian", "trace_moment"]
 # The package re-exports every module's names except these.
 NOT_REEXPORTED = {"LOWER", "UPPER", "MAX_VERTICES", "format_value", "render_table"}

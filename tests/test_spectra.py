@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from common import (
+    EMPTY3,
     K2N,
     K2P,
     K3M,
@@ -18,7 +19,6 @@ from common import (
     random_graphs,
 )
 from sglap import (
-    adjacency,
     degree_profile,
     eigenvalues,
     laplacian,
@@ -38,18 +38,20 @@ class TestMatrixConstruction:
         assert laplacian(K3N).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
     def test_adjacency_examples(self):
-        assert adjacency(K2N).tolist() == [[0, -1], [-1, 0]]
-        assert adjacency(K3P).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        from common import EMPTY3
+        # The signed adjacency matrix is D - L: the negated off-diagonal of L.
+        def adjacency(g):
+            lap = laplacian(g)
+            return (np.diag(np.diag(lap)) - lap).tolist()
 
-        assert adjacency(EMPTY3).tolist() == [[0] * 3] * 3
+        assert adjacency(K2N) == [[0, -1], [-1, 0]]
+        assert adjacency(K3P) == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        assert laplacian(EMPTY3).tolist() == [[0] * 3] * 3
 
     def test_integer_dtype(self):
         assert np.issubdtype(laplacian(K3M).dtype, np.integer)
-        assert np.issubdtype(adjacency(K3M).dtype, np.integer)
 
     def test_read_only(self):
-        for m in (laplacian(K3M), adjacency(K3M)):
+        for m in (laplacian(K3M), laplacian(EMPTY3)):
             with pytest.raises(ValueError):
                 m[0, 0] = 5
 
