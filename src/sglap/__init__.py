@@ -14,7 +14,6 @@ from .bounds import (
     DEFAULT_TOL,
     SIGNED_CATALOG,
     UNSIGNED_CATALOG,
-    BoundCatalogEntry,
     BoundEvaluation,
     BoundResult,
     InternalInconsistencyError,

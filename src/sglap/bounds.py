@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_TOL",
     "InternalInconsistencyError",
     "BoundResult",
-    "BoundCatalogEntry",
     "BoundEvaluation",
     "SIGNED_CATALOG",
     "UNSIGNED_CATALOG",
@@ -84,26 +83,6 @@ class BoundResult:
             raise ValueError(f"{self.bound_id}: applicable result needs a value")
         if not self.applicable and (self.value is not None or not self.guard_reason):
             raise ValueError(f"{self.bound_id}: inapplicable result needs a guard reason and no value")
-
-
-@dataclass(frozen=True)
-class BoundCatalogEntry:
-    """Registry record for one bound id.
-
-    ``target`` names the spectral radius being bounded: "signed" for the
-    input signature, "laplacian" / "signless" for the all-positive and
-    all-negative signings of the underlying graph.  An unsigned entry's
-    ``signed_bound`` is the signed bound function it evaluates on that
-    signing.
-    """
-
-    bound_id: str
-    direction: str
-    target: str
-    guard: str
-    description: str
-    notes: str = ""
-    signed_bound: Callable[[SignedGraph], BoundResult] | None = None
 
 
 def _value(bound_id: str, direction: str, v: float) -> BoundResult:
@@ -203,7 +182,9 @@ def lb_trace_cubic_b(g: SignedGraph) -> BoundResult:
     """LB-TR-3: cube root of |tr(L) tr(L^2) - tr(L^3)| / (r(r-1)), rank r >= 2.
 
     In degree and triangle terms the numerator is
-    |s1^2 - 3 s2 + s1 s2 - s3 + 6 t_net|.
+    |s1^2 - 3 s2 + s1 s2 - s3 + 6 t_net|.  The guard is rank n-b >= 2, the
+    condition the r(r-1) denominator needs; the stated balanced-component
+    condition would make the bound near-vacuous.
     """
     r = laplacian_rank(g)
     if r < 2:
@@ -315,25 +296,20 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
 
 # -- unsigned-graph corollaries ----------------------------------------------
 
-# Sign given to every edge for each unsigned target: all-positive signing
-# gives the ordinary Laplacian, all-negative the signless Laplacian.
-_TARGET_SIGN = {"laplacian": 1, "signless": -1}
-
-
 def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
     """Bounds for the Laplacian and signless Laplacian of the underlying graph.
 
     Input signs are ignored.  Each ``UNSIGNED_CATALOG`` entry, in order,
-    evaluates its signed bound on the all-positive or all-negative signing
-    named by its target, where the balanced-component count becomes the
+    evaluates its signed bound with every edge signed +1 (Laplacian) or -1
+    (signless Laplacian), where the balanced-component count becomes the
     component count c (all-positive) or the bipartite component count
     (all-negative), and signed triangles collapse to +-t.  Results come in
     catalog order and carry the catalog's ids.
     """
-    signings = {target: sign_all(g, sign) for target, sign in _TARGET_SIGN.items()}
+    signings = {sign: sign_all(g, sign) for sign in (1, -1)}
     return tuple(
-        replace(e.signed_bound(signings[e.target]), bound_id=e.bound_id)
-        for e in UNSIGNED_CATALOG
+        replace(signed_bound(signings[sign]), bound_id=bound_id)
+        for bound_id, sign, signed_bound in UNSIGNED_CATALOG
     )
 
 
@@ -400,82 +376,32 @@ def evaluate_all(g: SignedGraph, tol: float = DEFAULT_TOL, check: bool = True) -
     return BoundEvaluation(results=results, spectrum=spectrum)
 
 
-SIGNED_CATALOG: tuple[BoundCatalogEntry, ...] = (
-    BoundCatalogEntry("LB-NET-1", LOWER, "signed", "connected",
-                      "mean negative degree times 2"),
-    BoundCatalogEntry("LB-NET-2", LOWER, "signed", "connected",
-                      "root mean of squared negative degrees times 2"),
-    BoundCatalogEntry("LB-NET-3", LOWER, "signed", "connected",
-                      "cube root of the all-ones cubic Rayleigh moment over n"),
-    BoundCatalogEntry("UB-WANG-EDGE", UPPER, "signed", "connected, at least one edge",
-                      "edge scan over degrees and average 2-degrees"),
-    BoundCatalogEntry("UB-WANG-GLOBAL", UPPER, "signed", "connected, order > 2",
-                      "degree-square sum with extreme edge degrees"),
-    BoundCatalogEntry("UB-RANK", UPPER, "signed", "at least one edge",
-                      "mean plus deviation of the nonzero spectrum via rank n-b"),
-    BoundCatalogEntry("LB-TR-1", LOWER, "signed", "rank n-b >= 2",
-                      "second trace moment over the nonzero spectrum"),
-    BoundCatalogEntry("LB-TR-2", LOWER, "signed", "rank n-b >= 3",
-                      "third trace moment, degree and signed-triangle terms"),
-    BoundCatalogEntry("LB-TR-3", LOWER, "signed", "rank n-b >= 2",
-                      "mixed second/third trace moment with signed triangles",
-                      notes="guarded on rank n-b >= 2, the condition the "
-                            "r(r-1) denominator needs; the stated "
-                            "balanced-component condition would make the "
-                            "bound near-vacuous"),
-    BoundCatalogEntry("UB-ALLNEG", UPPER, "signed", "connected",
-                      "spectral radius of the all-negative signing"),
-    BoundCatalogEntry("LB-INTERLACE", LOWER, "signed", "none",
-                      "larger one-sign-subgraph spectral radius"),
-    BoundCatalogEntry("KB-1", UPPER, "signed", "connected, at least one edge",
-                      "edge scan of degree/average-2-degree ratio"),
-    BoundCatalogEntry("KB-2", UPPER, "signed", "connected, at least one edge",
-                      "edge scan, shifted degree quadratic under a square root"),
-    BoundCatalogEntry("KB-3", UPPER, "signed", "connected, at least one edge",
-                      "vertex scan of degree plus root of degree times average 2-degree"),
-    BoundCatalogEntry("KB-4", UPPER, "signed", "connected, at least one edge",
-                      "edge scan with geometric mean of neighbor-degree sums"),
-    BoundCatalogEntry("KB-5", LOWER, "signed", "connected, at least one edge",
-                      "maximum degree plus one"),
+# Signed-catalog ids in evaluation order, which is also the report's column
+# order.
+SIGNED_CATALOG: tuple[str, ...] = (
+    "LB-NET-1", "LB-NET-2", "LB-NET-3", "UB-WANG-EDGE", "UB-WANG-GLOBAL", "UB-RANK",
+    "LB-TR-1", "LB-TR-2", "LB-TR-3", "UB-ALLNEG", "LB-INTERLACE",
+    "KB-1", "KB-2", "KB-3", "KB-4", "KB-5",
 )
 
-UNSIGNED_CATALOG: tuple[BoundCatalogEntry, ...] = (
-    BoundCatalogEntry("NEQ-SLB-1", LOWER, "signless", "connected",
-                      "twice the average degree",
-                      signed_bound=lb_net_mean),
-    BoundCatalogEntry("NEQ-SLB-2", LOWER, "signless", "connected",
-                      "root of 4 s2 / n",
-                      signed_bound=lb_net_sq),
-    BoundCatalogEntry("NEQ-SLB-3", LOWER, "signless", "connected",
-                      "cube root of (4 s3 + 8 sum of edge degree products) / n",
-                      signed_bound=lb_net_cubic),
-    BoundCatalogEntry("UB-L", UPPER, "laplacian", "at least one edge",
-                      "rank/trace upper bound with component count c",
-                      signed_bound=ub_rank_trace),
-    BoundCatalogEntry("UB-SL", UPPER, "signless", "at least one edge",
-                      "rank/trace upper bound with bipartite component count",
-                      signed_bound=ub_rank_trace),
-    BoundCatalogEntry("LB-TR-L-1", LOWER, "laplacian", "c <= n-2",
-                      "second trace moment with rank n-c",
-                      signed_bound=lb_trace_sq),
-    BoundCatalogEntry("LB-TR-L-2", LOWER, "laplacian", "c <= n-3",
-                      "third trace moment with rank n-c and -12t",
-                      signed_bound=lb_trace_cubic_a),
-    BoundCatalogEntry("LB-TR-L-3", LOWER, "laplacian", "c <= n-2",
-                      "mixed trace moment with rank n-c and +6t",
-                      signed_bound=lb_trace_cubic_b),
-    BoundCatalogEntry("LB-TR-SL-1", LOWER, "signless", "c_bip <= n-2",
-                      "second trace moment with rank n-c_bip",
-                      signed_bound=lb_trace_sq),
-    BoundCatalogEntry("LB-TR-SL-2", LOWER, "signless", "c_bip <= n-3",
-                      "third trace moment with rank n-c_bip and +12t",
-                      signed_bound=lb_trace_cubic_a),
-    BoundCatalogEntry("LB-TR-SL-3", LOWER, "signless", "c_bip <= n-2",
-                      "mixed trace moment with rank n-c_bip and -6t",
-                      signed_bound=lb_trace_cubic_b),
+# (bound_id, sign, signed_bound): the signed bound evaluated with every edge
+# signed ``sign``, +1 for the Laplacian of the underlying graph and -1 for
+# its signless Laplacian.
+UNSIGNED_CATALOG: tuple[tuple[str, int, Callable[[SignedGraph], BoundResult]], ...] = (
+    ("NEQ-SLB-1", -1, lb_net_mean),
+    ("NEQ-SLB-2", -1, lb_net_sq),
+    ("NEQ-SLB-3", -1, lb_net_cubic),
+    ("UB-L", 1, ub_rank_trace),
+    ("UB-SL", -1, ub_rank_trace),
+    ("LB-TR-L-1", 1, lb_trace_sq),
+    ("LB-TR-L-2", 1, lb_trace_cubic_a),
+    ("LB-TR-L-3", 1, lb_trace_cubic_b),
+    ("LB-TR-SL-1", -1, lb_trace_sq),
+    ("LB-TR-SL-2", -1, lb_trace_cubic_a),
+    ("LB-TR-SL-3", -1, lb_trace_cubic_b),
 )
 
-_ids = [e.bound_id for e in SIGNED_CATALOG + UNSIGNED_CATALOG]
+_ids = [*SIGNED_CATALOG, *(bound_id for bound_id, _, _ in UNSIGNED_CATALOG)]
 if len(_ids) != len(set(_ids)):
     raise AssertionError("bound catalog ids are not unique")
 del _ids

@@ -18,7 +18,8 @@ from .bounds import (
     evaluate_all,
     sandwich_violations,
 )
-from .sgraph import SignedGraph, degree_profile, serialize_signed_graph, triangle_stats
+from .sgraph import (MAX_VERTICES, SignedGraph, degree_profile, serialize_signed_graph,
+                     triangle_stats)
 from .spectra import eigenvalues, laplacian, sign_all, trace_moment
 
 __all__ = [
@@ -88,6 +89,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        # generate scans n(n-1)/2 vertex pairs, so n is capped as the parser caps it.
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"n {self.n} exceeds the limit {MAX_VERTICES}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob!r}")
         if not 0.0 <= self.neg_prob <= 1.0:
@@ -264,7 +268,7 @@ def report(
         names = [f"G{k}" for k in range(1, len(graphs) + 1)]
     if len(names) != len(graphs):
         raise ValueError("need exactly one name per graph")
-    header = ["graph", "variant", "lambda_max"] + [e.bound_id for e in SIGNED_CATALOG]
+    header = ["graph", "variant", "lambda_max"] + list(SIGNED_CATALOG)
     rows = []
     for name, g in zip(names, graphs):
         variants = (g, sign_all(g, 1), sign_all(g, -1))

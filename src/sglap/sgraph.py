@@ -128,31 +128,23 @@ class DegreeProfile:
 
     Attributes:
         d: degree of each vertex.
-        d_pos, d_neg: counts of incident positive / negative edges.
-        d_net: d_pos - d_neg per vertex.
+        d_neg: count of incident negative edges of each vertex.
         nds: sum of the neighbors' degrees of each vertex.
-        avg2: mean degree over each vertex's neighbors, ``nds / d``; ``None``
-            marks an isolated vertex (the quantity is undefined there, never 0).
         s1, s2, s3: sums of degree powers (s1 equals twice the edge count).
         max_deg: largest degree.
-        avg_deg: s1 / n.
         edge_deg_min, edge_deg_max: extremes of d_i + d_j - 2 over edges,
             ``None`` for edgeless graphs.
 
-    Everything except ``avg2`` and ``avg_deg`` is an exact integer.
+    Every field is an exact integer.
     """
 
     d: tuple[int, ...]
-    d_pos: tuple[int, ...]
     d_neg: tuple[int, ...]
-    d_net: tuple[int, ...]
     nds: tuple[int, ...]
-    avg2: tuple[float | None, ...]
     s1: int
     s2: int
     s3: int
     max_deg: int
-    avg_deg: float
     edge_deg_min: int | None
     edge_deg_max: int | None
 
@@ -183,24 +175,16 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
     for i, j, _ in g.edges:
         nbr_deg[i] += deg[j]
         nbr_deg[j] += deg[i]
-    d, d_neg, nds = deg[1:], neg[1:], nbr_deg[1:]
-    d_pos = [k - q for k, q in zip(d, d_neg)]
-    s1 = sum(d)
-    s2 = sum(x * x for x in d)
-    s3 = sum(x ** 3 for x in d)
+    d = deg[1:]
     edge_degs = [deg[i] + deg[j] - 2 for i, j, _ in g.edges]
     return DegreeProfile(
         d=tuple(d),
-        d_pos=tuple(d_pos),
-        d_neg=tuple(d_neg),
-        d_net=tuple(p - q for p, q in zip(d_pos, d_neg)),
-        nds=tuple(nds),
-        avg2=tuple(x / k if k else None for x, k in zip(nds, d)),
-        s1=s1,
-        s2=s2,
-        s3=s3,
+        d_neg=tuple(neg[1:]),
+        nds=tuple(nbr_deg[1:]),
+        s1=sum(d),
+        s2=sum(x * x for x in d),
+        s3=sum(x ** 3 for x in d),
         max_deg=max(d),
-        avg_deg=s1 / g.n,
         edge_deg_min=min(edge_degs) if edge_degs else None,
         edge_deg_max=max(edge_degs) if edge_degs else None,
     )

@@ -254,14 +254,14 @@ class TestUnsignedCorollaries:
                     assert abs(res.value - want) <= 1e-12
 
     def test_wrappers_bound_their_targets(self):
-        by_id = {e.bound_id: e for e in UNSIGNED_CATALOG}
+        sign_of = {bound_id: sign for bound_id, sign, _ in UNSIGNED_CATALOG}
         for g in random_graphs(40, base_seed=2500, connected=True, n_max=10):
             lap_radius = spectral_radius_laplacian(sign_all(g, 1))
             q_radius = spectral_radius_laplacian(sign_all(g, -1))
             for res in unsigned_corollaries(g):
                 if not res.applicable:
                     continue
-                target = lap_radius if by_id[res.bound_id].target == "laplacian" else q_radius
+                target = lap_radius if sign_of[res.bound_id] == 1 else q_radius
                 if res.direction == "lower":
                     assert res.value <= target + 1e-9
                 else:
@@ -270,19 +270,19 @@ class TestUnsignedCorollaries:
 
 class TestCatalog:
     def test_ids_unique(self):
-        ids = [e.bound_id for e in SIGNED_CATALOG + UNSIGNED_CATALOG]
+        ids = [*SIGNED_CATALOG, *(bound_id for bound_id, _, _ in UNSIGNED_CATALOG)]
         assert len(ids) == len(set(ids))
 
     def test_every_bound_registered_once(self):
-        signed_ids = [e.bound_id for e in SIGNED_CATALOG]
-        assert signed_ids == [r.bound_id for r in evaluate_all(K3M).results]
-        unsigned_ids = [e.bound_id for e in UNSIGNED_CATALOG]
+        assert list(SIGNED_CATALOG) == [r.bound_id for r in evaluate_all(K3M).results]
+        unsigned_ids = [bound_id for bound_id, _, _ in UNSIGNED_CATALOG]
         assert unsigned_ids == [r.bound_id for r in unsigned_corollaries(K3M)]
 
     def test_directions_match_results(self):
-        by_id = {e.bound_id: e.direction for e in SIGNED_CATALOG + UNSIGNED_CATALOG}
-        for r in list(evaluate_all(K3M).results) + list(unsigned_corollaries(K3M)):
-            assert r.direction == by_id[r.bound_id]
+        # Signed directions are pinned by the golden bounds tables; each
+        # unsigned corollary keeps the direction of the signed bound it reuses.
+        for (_, sign, signed_bound), r in zip(UNSIGNED_CATALOG, unsigned_corollaries(K3M)):
+            assert r.direction == signed_bound(sign_all(K3M, sign)).direction
 
 
 class TestEvaluateAll:

@@ -179,6 +179,19 @@ class TestHostileSizes:
         assert code == 2 and not out
         assert "exceeds the limit" in err
 
+    def test_verify_on_huge_n(self, capsys, monkeypatch):
+        # Scanning n^2/2 vertex pairs would never finish, so the size must be
+        # refused before any graph is generated.
+        def unreachable(cfg):
+            raise AssertionError("generate called with an oversized n")
+
+        monkeypatch.setattr("sglap.harness.generate", unreachable)
+        code, out, err = run(capsys, ["verify", "--n", "12345678901234567890",
+                                      "--edge-prob", "0.5", "--neg-prob", "0.5",
+                                      "--trials", "1", "--seed", "1"])
+        assert code == 2 and not out
+        assert "exceeds the limit" in err
+
     def test_memory_error_exits_2(self, capsys, graph_file, monkeypatch):
         def exhausted(g1, g2):
             raise MemoryError

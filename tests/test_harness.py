@@ -138,7 +138,7 @@ class TestReport:
         assert lines[0].startswith("| graph | variant | lambda_max |")
         csv_text = report([], fmt="csv")
         assert csv_text.splitlines() == ["graph,variant,lambda_max," +
-                                         ",".join(e.bound_id for e in SIGNED_CATALOG)]
+                                         ",".join(SIGNED_CATALOG)]
 
     def test_k3n_markdown_row(self):
         md = report([K3N], fmt="md", names=["K3N"])

@@ -1,5 +1,7 @@
-"""The public surface, pinned: adding or deleting a name is a deliberate edit here."""
+"""The public surface, pinned: adding or deleting a name or a record field is a
+deliberate edit here."""
 
+import dataclasses
 import types
 
 import sglap
@@ -7,7 +9,7 @@ from sglap import balance, bounds, harness, sgraph, spectra
 
 BALANCE = ["BalanceInfo", "SwitchingVerdict", "balance_info", "induced_sign_subgraph",
            "is_connected", "laplacian_rank", "switch", "switching_equivalent"]
-BOUNDS = ["BoundCatalogEntry", "BoundEvaluation", "BoundResult", "DEFAULT_TOL",
+BOUNDS = ["BoundEvaluation", "BoundResult", "DEFAULT_TOL",
           "InternalInconsistencyError", "LOWER", "SIGNED_CATALOG", "UNSIGNED_CATALOG", "UPPER",
           "classic_bounds", "evaluate_all", "lb_interlacing", "lb_net_cubic", "lb_net_mean",
           "lb_net_sq", "lb_trace_cubic_a", "lb_trace_cubic_b", "lb_trace_sq",
@@ -36,3 +38,21 @@ def test_public_names():
                      and not isinstance(getattr(sglap, name), types.ModuleType))
     want = sorted(set().union(*modules.values()) - NOT_REEXPORTED)
     assert package == want
+
+
+# Fields of the public records, in declaration order (the constructor's
+# positional order).
+RECORD_FIELDS = {
+    sgraph.DegreeProfile: ["d", "d_neg", "nds", "s1", "s2", "s3", "max_deg",
+                           "edge_deg_min", "edge_deg_max"],
+    sgraph.TriangleStats: ["t", "t_pos", "t_neg", "t_net"],
+    balance.BalanceInfo: ["component_count", "balanced_count", "component_labels",
+                          "component_balanced", "certificate"],
+    bounds.BoundResult: ["bound_id", "direction", "applicable", "guard_reason", "value"],
+    bounds.BoundEvaluation: ["results", "spectrum"],
+}
+
+
+def test_record_fields():
+    for record, names in RECORD_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(record)] == names, record.__name__

@@ -262,25 +262,20 @@ class TestDegreeProfile:
         prof = degree_profile(K3N)
         assert prof.d == (2, 2, 2)
         assert prof.d_neg == (2, 2, 2)
-        assert prof.d_net == (-2, -2, -2)
         assert (prof.s1, prof.s2, prof.s3) == (6, 12, 24)
-        assert prof.avg2 == (2.0, 2.0, 2.0)
 
     def test_mixed_triangle(self):
         prof = degree_profile(K3M)
         assert prof.d_neg == (1, 0, 1)
-        assert prof.d_net == (0, 2, 0)
 
     def test_path(self):
         prof = degree_profile(P3P)
         assert prof.d == (1, 2, 1)
-        assert prof.avg2 == (2.0, 1.0, 2.0)
         assert prof.edge_deg_min == 1
         assert prof.edge_deg_max == 1
 
     def test_isolated_vertex_markers(self):
         prof = degree_profile(EMPTY3)
-        assert prof.avg2 == (None, None, None)
         assert prof.edge_deg_min is None
         assert prof.edge_deg_max is None
         assert prof.max_deg == 0
@@ -291,7 +286,6 @@ class TestDegreeProfile:
         for g in random_graphs(1000, base_seed=400, n_max=10, n_min=1, prob_lo=0.1):
             prof = degree_profile(g)
             assert prof.s1 == 2 * g.m
-            assert all(d == p + q for d, p, q in zip(prof.d, prof.d_pos, prof.d_neg))
             assert prof.s2 == sum(x * x for x in prof.d)
             assert prof.s3 == sum(x ** 3 for x in prof.d)
 
@@ -299,23 +293,15 @@ class TestDegreeProfile:
     @settings(max_examples=200)
     def test_invariants(self, g):
         prof = degree_profile(g)
-        m_pos = sum(1 for _, _, s in g.edges if s > 0)
-        m_neg = g.m - m_pos
+        m_neg = sum(1 for _, _, s in g.edges if s < 0)
         assert prof.s1 == 2 * g.m
-        assert all(d == p + q for d, p, q in zip(prof.d, prof.d_pos, prof.d_neg))
-        assert all(net == p - q for net, p, q in zip(prof.d_net, prof.d_pos, prof.d_neg))
-        assert sum(prof.d_net) == 2 * (m_pos - m_neg)
+        assert sum(prof.d_neg) == 2 * m_neg
         assert prof.s2 == sum(x * x for x in prof.d)
         assert prof.s3 == sum(x ** 3 for x in prof.d)
-        # nds_j is the neighbor degree sum exactly, and d_j * avg2_j recovers
-        # it for non-isolated j
+        # nds_j is the neighbor degree sum exactly
         for v in range(1, g.n + 1):
             want = sum(prof.d[(j if i == v else i) - 1] for i, j, _ in g.edges if v in (i, j))
             assert prof.nds[v - 1] == want
-            if prof.d[v - 1] == 0:
-                assert prof.avg2[v - 1] is None
-            else:
-                assert prof.d[v - 1] * prof.avg2[v - 1] == pytest.approx(want, abs=1e-9)
         for i, j, _ in g.edges:
             de = prof.d[i - 1] + prof.d[j - 1] - 2
             assert prof.edge_deg_min <= de <= prof.edge_deg_max
