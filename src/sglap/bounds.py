@@ -2,9 +2,9 @@
 
 Every bound returns a :class:`BoundResult` whose ``applicable`` flag encodes
 its hypothesis (connectedness, edge count, rank conditions); inapplicable
-results carry a guard reason instead of a value.  The catalog at the bottom
-registers each bound id exactly once; the ids are a compatibility surface
-used in CLI output and CSV headers.
+results carry a guard reason instead of a value.  The catalogs at the bottom
+list each bound id once; the ids are a compatibility surface used in CLI
+output and CSV headers.
 
 Degree sums are kept in exact integer arithmetic as long as possible so the
 values differ from their defining formulas only by the final float division,
@@ -18,18 +18,17 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .balance import induced_sign_subgraph, is_connected, laplacian_rank
-from .sgraph import SignedGraph, degree_profile, triangle_stats
+from .sgraph import SignedGraph, degree_profile
 from .spectra import (
     eigenvalues,
     laplacian,
+    power_traces,
     rayleigh_moment,
     sign_all,
     spectral_radius_laplacian,
 )
 
 __all__ = [
-    "LOWER",
-    "UPPER",
     "DEFAULT_TOL",
     "InternalInconsistencyError",
     "BoundResult",
@@ -149,51 +148,38 @@ def ub_rank_trace(g: SignedGraph) -> BoundResult:
 
 
 def lb_trace_sq(g: SignedGraph) -> BoundResult:
-    """LB-TR-1: sqrt(|s1^2 - s2 - s1| / (r(r-1))), needs rank r = n - b >= 2.
-
-    The numerator is |tr(L)^2 - tr(L^2)| in degree terms; the absolute value
-    keeps the bound valid when the signed numerator goes negative.
-    """
+    """LB-TR-1: sqrt(|p1^2 - p2| / (r(r-1))) with p_k = tr(L^k), needs rank
+    r = n - b >= 2.  The absolute value keeps the bound valid when the signed
+    numerator goes negative."""
     r = laplacian_rank(g)
     if r < 2:
         return _na("LB-TR-1", LOWER, "b > n-2")
-    prof = degree_profile(g)
-    num = abs(prof.s1 * prof.s1 - prof.s2 - prof.s1)
-    return _value("LB-TR-1", LOWER, math.sqrt(num / (r * (r - 1))))
+    p1, p2, _ = power_traces(g)
+    return _value("LB-TR-1", LOWER, math.sqrt(abs(p1 * p1 - p2) / (r * (r - 1))))
 
 
 def lb_trace_cubic_a(g: SignedGraph) -> BoundResult:
-    """LB-TR-2: third-moment lower bound, needs rank r = n - b >= 3.
-
-    Numerator |2 tr(L^3) - 3 tr(L^2) tr(L) + tr(L)^3| expanded in degree and
-    triangle terms: |2 s3 + 6 s2 - 3 s2 s1 + s1^3 - 3 s1^2 - 12 t_net|.
-    """
+    """LB-TR-2: cube root of |2 p3 - 3 p2 p1 + p1^3| / (r(r-1)(r-2)) with
+    p_k = tr(L^k), needs rank r = n - b >= 3."""
     r = laplacian_rank(g)
     if r < 3:
         return _na("LB-TR-2", LOWER, "b > n-3")
-    prof = degree_profile(g)
-    tnet = triangle_stats(g).t_net
-    s1, s2, s3 = prof.s1, prof.s2, prof.s3
-    num = abs(2 * s3 + 6 * s2 - 3 * s2 * s1 + s1 ** 3 - 3 * s1 * s1 - 12 * tnet)
+    p1, p2, p3 = power_traces(g)
+    num = abs(2 * p3 - 3 * p2 * p1 + p1 ** 3)
     return _value("LB-TR-2", LOWER, (num / (r * (r - 1) * (r - 2))) ** (1.0 / 3.0))
 
 
 def lb_trace_cubic_b(g: SignedGraph) -> BoundResult:
-    """LB-TR-3: cube root of |tr(L) tr(L^2) - tr(L^3)| / (r(r-1)), rank r >= 2.
-
-    In degree and triangle terms the numerator is
-    |s1^2 - 3 s2 + s1 s2 - s3 + 6 t_net|.  The guard is rank n-b >= 2, the
-    condition the r(r-1) denominator needs; the stated balanced-component
-    condition would make the bound near-vacuous.
+    """LB-TR-3: cube root of |p1 p2 - p3| / (r(r-1)) with p_k = tr(L^k), rank
+    r >= 2.  The guard is rank n-b >= 2, the condition the r(r-1) denominator
+    needs; the stated balanced-component condition would make the bound
+    near-vacuous.
     """
     r = laplacian_rank(g)
     if r < 2:
         return _na("LB-TR-3", LOWER, "rank n-b < 2")
-    prof = degree_profile(g)
-    tnet = triangle_stats(g).t_net
-    s1, s2, s3 = prof.s1, prof.s2, prof.s3
-    num = abs(s1 * s1 - 3 * s2 + s1 * s2 - s3 + 6 * tnet)
-    return _value("LB-TR-3", LOWER, (num / (r * (r - 1))) ** (1.0 / 3.0))
+    p1, p2, p3 = power_traces(g)
+    return _value("LB-TR-3", LOWER, (abs(p1 * p2 - p3) / (r * (r - 1))) ** (1.0 / 3.0))
 
 
 # -- sign-independent upper bounds ------------------------------------------
@@ -400,8 +386,3 @@ UNSIGNED_CATALOG: tuple[tuple[str, int, Callable[[SignedGraph], BoundResult]], .
     ("LB-TR-SL-2", -1, lb_trace_cubic_a),
     ("LB-TR-SL-3", -1, lb_trace_cubic_b),
 )
-
-_ids = [*SIGNED_CATALOG, *(bound_id for bound_id, _, _ in UNSIGNED_CATALOG)]
-if len(_ids) != len(set(_ids)):
-    raise AssertionError("bound catalog ids are not unique")
-del _ids

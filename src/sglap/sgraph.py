@@ -7,8 +7,8 @@ immutable after construction; every operation here is a pure function.
 Statistics of a graph are memoised on the graph object itself (see
 :func:`cached_on_graph`), so each is computed once per graph.  Triangles
 are counted combinatorially, from per-vertex neighbor bitmasks, never from
-a matrix, so the trace identity tr(L^3) = s3 + 3 s2 - 6 t_net stays an
-independent check.
+a matrix, so ``spectra.power_traces`` checked against a matrix trace stays
+an independent check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 __all__ = [
-    "MAX_VERTICES",
     "GraphFormatError",
     "SignedGraph",
     "DegreeProfile",

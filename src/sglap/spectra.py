@@ -3,8 +3,10 @@ trace / Rayleigh moments.
 
 ``laplacian`` returns a read-only int64 numpy array, so trace
 computations are exact; floating point enters only through the
-eigensolver and bound values.  ``eigenvalues`` takes any square symmetric
-2-D array-like and returns its spectrum as an ascending tuple of floats.
+eigensolver and bound values.  ``power_traces`` gives the same traces from
+degree and triangle counts, without a matrix.  ``eigenvalues`` takes any
+square symmetric 2-D array-like and returns its spectrum as an ascending
+tuple of floats.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .sgraph import SignedGraph, cached_on_graph, degree_profile
+from .sgraph import SignedGraph, cached_on_graph, degree_profile, triangle_stats
 
 __all__ = [
     "laplacian",
@@ -21,6 +23,7 @@ __all__ = [
     "eigenvalues",
     "spectral_radius_laplacian",
     "trace_moment",
+    "power_traces",
     "rayleigh_moment",
 ]
 
@@ -78,9 +81,8 @@ def spectral_radius_laplacian(g: SignedGraph) -> float:
 def trace_moment(a: np.ndarray, k: int):
     """tr(a^k) for k in {1, 2, 3} by explicit matrix products.
 
-    Integer matrices give an exact integer result.  For a signed Laplacian
-    the values satisfy tr(L) = s1, tr(L^2) = s2 + s1, and
-    tr(L^3) = s3 + 3*s2 - 6*t_net.
+    Integer matrices give an exact integer result; for a signed Laplacian
+    it equals the k-th entry of :func:`power_traces`.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
@@ -93,6 +95,16 @@ def trace_moment(a: np.ndarray, k: int):
     if np.issubdtype(a.dtype, np.integer):
         return int(tr)
     return float(tr)
+
+
+def power_traces(g: SignedGraph) -> tuple[int, int, int]:
+    """(tr L, tr L^2, tr L^3) of g's Laplacian as exact integers, from degree
+    power sums and signed triangles alone.  No matrix is built, so comparing
+    them with :func:`trace_moment` is a real check."""
+    prof = degree_profile(g)
+    s1, s2, s3 = prof.s1, prof.s2, prof.s3
+    t_net = triangle_stats(g).t_net
+    return s1, s2 + s1, s3 + 3 * s2 - 6 * t_net
 
 
 def rayleigh_moment(g: SignedGraph, k: int) -> int:

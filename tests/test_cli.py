@@ -149,6 +149,20 @@ class TestVerifyCommand:
         assert "result: FAIL" in out
         assert "FAIL trial=0 seed=77 check=KB-1 " in out
 
+    def test_bound_assertion_names_its_seed(self, capsys, monkeypatch):
+        from sglap import InternalInconsistencyError, SplitMix64
+
+        def broken(g):
+            raise InternalInconsistencyError("UB-RANK: radicand -1 < 0")
+
+        monkeypatch.setattr("sglap.bounds.ub_rank_trace", broken)
+        code, out, err = run(capsys, ["verify", "--n", "5", "--edge-prob", "0.5",
+                                      "--neg-prob", "0.5", "--trials", "3",
+                                      "--seed", "9"])
+        g_seed = SplitMix64(9).next_u64()  # the first trial's graph seed
+        assert code == 2 and not out
+        assert err == f"error: trial=0 seed={g_seed}: UB-RANK: radicand -1 < 0\n"
+
 
 class TestSwitchCheckCommand:
     def test_equivalent_pair_with_witness(self, capsys, graph_file):

@@ -22,6 +22,7 @@ from sglap import (
     degree_profile,
     eigenvalues,
     laplacian,
+    power_traces,
     rayleigh_moment,
     sign_all,
     spectral_radius_laplacian,
@@ -162,6 +163,7 @@ class TestTraceMoment:
         assert trace_moment(laplacian(K3N), 3) == 66
         assert trace_moment(laplacian(K3P), 3) == 54
         assert trace_moment(laplacian(K3M), 2) == 18
+        assert power_traces(K3N) == (6, 18, 66)
 
     def test_k_out_of_range(self):
         lap = laplacian(K3M)
@@ -181,6 +183,7 @@ class TestTraceMoment:
         assert trace_moment(lap, 1) == prof.s1
         assert trace_moment(lap, 2) == prof.s2 + prof.s1
         assert trace_moment(lap, 3) == prof.s3 + 3 * prof.s2 - 6 * tri.t_net
+        assert power_traces(g) == tuple(trace_moment(lap, k) for k in (1, 2, 3))
 
     @given(signed_graphs(max_n=10))
     @settings(max_examples=50, deadline=None)
