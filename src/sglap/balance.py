@@ -22,7 +22,6 @@ __all__ = [
     "is_connected",
     "laplacian_rank",
     "switching_equivalent",
-    "induced_sign_subgraph",
 ]
 
 
@@ -163,11 +162,4 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     if all(balanced):
         return SwitchingVerdict(True, tuple(theta))
     return no
-
-
-def induced_sign_subgraph(g: SignedGraph, sign: int) -> SignedGraph:
-    """Subgraph on the same vertex set keeping only edges of ``sign``."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return SignedGraph(g.n, frozenset([(i, j, s) for i, j, s in g.edges if s == sign]))
 

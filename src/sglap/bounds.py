@@ -17,16 +17,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .balance import induced_sign_subgraph, is_connected, laplacian_rank
+import numpy as np
+
+from .balance import is_connected, laplacian_rank
 from .sgraph import SignedGraph, degree_profile
-from .spectra import (
-    eigenvalues,
-    laplacian,
-    power_traces,
-    rayleigh_moment,
-    sign_all,
-    spectral_radius_laplacian,
-)
+from .spectra import eigenvalues, laplacian, power_traces, rayleigh_moment, sign_all
 
 __all__ = [
     "DEFAULT_TOL",
@@ -228,18 +223,28 @@ def ub_wang_global(g: SignedGraph) -> BoundResult:
 def ub_all_negative(g: SignedGraph) -> BoundResult:
     """UB-ALLNEG: spectral radius of the all-negative signing.
 
+    Its Laplacian D + |A| is |L(g)| entrywise, so no graph is rebuilt.
     Tight exactly when the graph is switching equivalent to its all-negative
     signing.  Needs a connected graph.
     """
     if not is_connected(g):
         return _na("UB-ALLNEG", UPPER, _NOT_CONNECTED)
-    return _value("UB-ALLNEG", UPPER, spectral_radius_laplacian(sign_all(g, -1)))
+    return _value("UB-ALLNEG", UPPER, eigenvalues(np.abs(laplacian(g)))[-1])
 
 
 def lb_interlacing(g: SignedGraph) -> BoundResult:
-    """LB-INTERLACE: larger spectral radius of the two one-sign subgraphs."""
-    pos = spectral_radius_laplacian(induced_sign_subgraph(g, 1))
-    neg = spectral_radius_laplacian(induced_sign_subgraph(g, -1))
+    """LB-INTERLACE: larger spectral radius of the two one-sign subgraphs.
+
+    L(g) = L+ + L-, as a Laplacian is additive over edge-disjoint spanning
+    subgraphs; L+ keeps the negative entries of L(g), one per positive edge,
+    with their row counts on its diagonal.  Both are built in one array.
+    """
+    lap = laplacian(g)
+    part = np.minimum(lap, 0)
+    np.fill_diagonal(part, -part.sum(axis=1))
+    pos = eigenvalues(part)[-1]
+    np.subtract(lap, part, out=part)
+    neg = eigenvalues(part)[-1]
     return _value("LB-INTERLACE", LOWER, max(pos, neg))
 
 
@@ -319,8 +324,12 @@ def sandwich_violations(
 ) -> tuple[tuple[BoundResult, float], ...]:
     """Applicable bounds that fail lower <= lambda_max <= upper within tol.
 
-    Returns (result, overshoot) pairs; empty means the sandwich holds.
+    Returns (result, overshoot) pairs; empty means the sandwich holds.  A
+    negative tol tightens the check; a NaN or infinite one raises ValueError,
+    since NaN fails every comparison and +inf passes every one.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     bad = []
     for r in results:
         if not r.applicable:

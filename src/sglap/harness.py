@@ -19,7 +19,7 @@ from .bounds import (
     evaluate_all,
     sandwich_violations,
 )
-from .sgraph import MAX_VERTICES, SignedGraph, serialize_signed_graph
+from .sgraph import SignedGraph, serialize_signed_graph
 from .spectra import eigenvalues, laplacian, power_traces, sign_all, trace_moment
 
 __all__ = [
@@ -37,6 +37,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 CONNECTIVITY_CAP = 10_000
+# Largest order generate accepts.  It draws once per vertex pair, 5*10^7
+# draws at 10^4 vertices, and verify then solves dense float64 matrices of
+# 0.8 GB each; the parser's far larger MAX_VERTICES bounds memory, not this
+# O(n^2) scan.
+MAX_GENERATED_VERTICES = 10_000
 RANK_TOL = 1e-8
 
 
@@ -87,9 +92,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        # generate scans n(n-1)/2 vertex pairs, so n is capped as the parser caps it.
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"n {self.n} exceeds the limit {MAX_VERTICES}")
+        if self.n > MAX_GENERATED_VERTICES:
+            raise ValueError(f"n {self.n} exceeds the limit {MAX_GENERATED_VERTICES}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob!r}")
         if not 0.0 <= self.neg_prob <= 1.0:

@@ -21,7 +21,6 @@ __all__ = [
     "laplacian",
     "sign_all",
     "eigenvalues",
-    "spectral_radius_laplacian",
     "trace_moment",
     "power_traces",
     "rayleigh_moment",
@@ -71,11 +70,6 @@ def eigenvalues(m) -> tuple[float, ...]:
     if not (a == a.T).all():
         raise ValueError("matrix is not symmetric")
     return tuple(np.linalg.eigvalsh(a).tolist())
-
-
-def spectral_radius_laplacian(g: SignedGraph) -> float:
-    """Largest eigenvalue of the signed Laplacian (all of them are >= 0)."""
-    return eigenvalues(laplacian(g))[-1]
 
 
 def trace_moment(a: np.ndarray, k: int):

@@ -138,6 +138,19 @@ def oracle_laplacian(g: SignedGraph) -> np.ndarray:
     return m
 
 
+def one_sign_subgraph(g: SignedGraph, sign: int) -> SignedGraph:
+    """Spanning subgraph of ``g`` keeping only the edges of ``sign``."""
+    return SignedGraph(g.n, frozenset(e for e in g.edges if e[2] == sign))
+
+
+def laplacian_parts(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L+, L-), the Laplacians of the one-sign subgraphs, read off a signed
+    Laplacian L: L+ = diag(rowsum(L < 0)) - (L < 0) and L- = L - L+."""
+    below = (lap < 0).astype(np.int64)
+    pos = np.diag(below.sum(axis=1)) - below
+    return pos, lap - pos
+
+
 def oracle_eigs(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues by cyclic Jacobi rotations, without LAPACK.
 

@@ -14,6 +14,8 @@ from common import (
     K3P,
     K3P_K3N,
     P3P,
+    laplacian_parts,
+    one_sign_subgraph,
     oracle_bipartite_components,
     oracle_components,
     oracle_eigs,
@@ -24,7 +26,6 @@ from sglap import (
     SignedGraph,
     balance_info,
     eigenvalues,
-    induced_sign_subgraph,
     is_connected,
     laplacian,
     laplacian_rank,
@@ -206,24 +207,34 @@ class TestSwitchingEquivalent:
 
 
 class TestInducedSubgraphs:
+    """The one-sign subgraphs and their Laplacians, which LB-INTERLACE reads
+    off L(g) without building either subgraph."""
+
     def test_negative_part_of_mixed_triangle(self):
-        got = induced_sign_subgraph(K3M, -1)
+        got = one_sign_subgraph(K3M, -1)
         assert got == SignedGraph(3, frozenset({(1, 3, -1)}))
+        assert laplacian_parts(laplacian(K3M))[1].tolist() == laplacian(got).tolist()
 
     def test_positive_part_of_all_negative(self):
-        got = induced_sign_subgraph(K3N, 1)
+        got = one_sign_subgraph(K3N, 1)
         assert got.n == 3 and got.m == 0
+        assert not laplacian_parts(laplacian(K3N))[0].any()
 
     def test_positive_part_of_all_positive(self):
-        assert induced_sign_subgraph(K3P, 1) == K3P
+        assert one_sign_subgraph(K3P, 1) == K3P
+        pos, neg = laplacian_parts(laplacian(K3P))
+        assert np.array_equal(pos, laplacian(K3P)) and not neg.any()
 
     @given(signed_graphs())
     @settings(max_examples=100)
     def test_parts_partition_edges(self, g):
-        pos = induced_sign_subgraph(g, 1)
-        neg = induced_sign_subgraph(g, -1)
+        pos = one_sign_subgraph(g, 1)
+        neg = one_sign_subgraph(g, -1)
         assert pos.edges | neg.edges == g.edges
         assert not pos.edges & neg.edges
+        lap_pos, lap_neg = laplacian_parts(laplacian(g))
+        assert np.array_equal(lap_pos, laplacian(pos))
+        assert np.array_equal(lap_neg, laplacian(neg))
 
 
 def bipartite_components(g: SignedGraph) -> int:

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from common import (
     EMPTY3,
+    K1,
     K2N,
     K2P,
     K3M,
@@ -14,6 +16,8 @@ from common import (
     P3N,
     P3P,
     direct_unsigned_bounds,
+    laplacian_parts,
+    one_sign_subgraph,
     oracle_rayleigh,
     oracle_trace,
     random_graphs,
@@ -25,7 +29,9 @@ from sglap import (
     SignedGraph,
     classic_bounds,
     degree_profile,
+    eigenvalues,
     evaluate_all,
+    laplacian,
     lb_interlacing,
     lb_net_cubic,
     lb_net_mean,
@@ -36,7 +42,6 @@ from sglap import (
     laplacian_rank,
     sandwich_violations,
     sign_all,
-    spectral_radius_laplacian,
     switching_equivalent,
     ub_all_negative,
     ub_rank_trace,
@@ -165,7 +170,7 @@ class TestSignBlindUpperBounds:
         ]
         for g, expect_equal in cases:
             res = ub_all_negative(g)
-            lmax = spectral_radius_laplacian(g)
+            lmax = eigenvalues(laplacian(g))[-1]
             is_equal = abs(res.value - lmax) < 1e-7
             assert is_equal == expect_equal
             assert switching_equivalent(g, sign_all(g, -1)).equivalent == expect_equal
@@ -174,6 +179,55 @@ class TestSignBlindUpperBounds:
         assert lb_interlacing(K3M).value == pytest.approx(3.0)
         assert lb_interlacing(K3P).value == pytest.approx(3.0)
         assert lb_interlacing(K3N).value == pytest.approx(4.0)
+
+
+def laplacian_route_corpus() -> list[SignedGraph]:
+    """Seeded graphs plus the edge cases of the one-sign split: a single
+    vertex, no edges, one sign only, and a disconnected graph."""
+    graphs = [K1, EMPTY3, K3P, K3N, K3M, K3P_K3N, P3N]
+    graphs += random_graphs(60, base_seed=5_200, n_min=1, n_max=12)
+    for sign in (1, -1):
+        graphs += [sign_all(g, sign) for g in random_graphs(20, base_seed=5_300, n_max=9)]
+    return graphs
+
+
+class TestMatricesFromLaplacian:
+    """UB-ALLNEG and LB-INTERLACE read their matrices off L(g) instead of
+    building the all-negative signing and the one-sign subgraphs."""
+
+    def test_matrices_equal_the_graph_route(self):
+        for g in laplacian_route_corpus():
+            lap = laplacian(g)
+            assert np.array_equal(np.abs(lap), laplacian(sign_all(g, -1)))
+            pos, neg = laplacian_parts(lap)
+            assert np.array_equal(pos, laplacian(one_sign_subgraph(g, 1)))
+            assert np.array_equal(neg, laplacian(one_sign_subgraph(g, -1)))
+
+    def test_values_equal_the_graph_route(self):
+        def radius(h):
+            return eigenvalues(laplacian(h))[-1]
+
+        for g in laplacian_route_corpus():
+            allneg = ub_all_negative(g)
+            if allneg.applicable:
+                assert allneg.value == radius(sign_all(g, -1))
+            else:
+                assert allneg.guard_reason == "graph not connected"
+            want = max(radius(one_sign_subgraph(g, 1)), radius(one_sign_subgraph(g, -1)))
+            assert lb_interlacing(g).value == want
+
+    def test_evaluate_all_builds_no_graph(self, monkeypatch):
+        g = SignedGraph(K3M.n, frozenset(K3M.edges))
+        built = []
+        check = SignedGraph.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(SignedGraph, "__post_init__", counting)
+        evaluate_all(g)
+        assert built == []
 
 
 class TestClassicBounds:
@@ -191,20 +245,18 @@ class TestClassicBounds:
 
     def test_single_edge_kb5_equality(self):
         values = {r.bound_id: r.value for r in classic_bounds(K2P)}
-        assert values["KB-5"] == pytest.approx(spectral_radius_laplacian(K2P), abs=1e-9)
+        assert values["KB-5"] == pytest.approx(eigenvalues(laplacian(K2P))[-1], abs=1e-9)
 
     def test_kb5_star_equalities(self):
         for k in (1, 2, 3, 4):
             star = SignedGraph.from_edges(k + 1, [(1, v, 1) for v in range(2, k + 2)])
             values = {r.bound_id: r.value for r in classic_bounds(star)}
             assert values["KB-5"] == pytest.approx(k + 1.0)
-            assert spectral_radius_laplacian(star) == pytest.approx(k + 1.0, abs=1e-7)
+            assert eigenvalues(laplacian(star))[-1] == pytest.approx(k + 1.0, abs=1e-7)
 
     def test_guards(self):
         for r in classic_bounds(K3P_K3N):
             assert not r.applicable and r.guard_reason == "graph not connected"
-        from common import K1
-
         for r in classic_bounds(K1):
             assert not r.applicable and "at least one edge" in r.guard_reason
 
@@ -212,7 +264,7 @@ class TestClassicBounds:
 class TestUnsignedCorollaries:
     def test_triangle_equalities(self):
         values = {r.bound_id: r for r in unsigned_corollaries(K3P)}
-        q_radius = spectral_radius_laplacian(sign_all(K3P, -1))
+        q_radius = eigenvalues(laplacian(sign_all(K3P, -1)))[-1]
         assert values["NEQ-SLB-1"].value == pytest.approx(4.0)
         assert values["NEQ-SLB-1"].value == pytest.approx(q_radius, abs=1e-9)
         assert values["NEQ-SLB-2"].value == pytest.approx(4.0)
@@ -256,8 +308,8 @@ class TestUnsignedCorollaries:
     def test_wrappers_bound_their_targets(self):
         sign_of = {bound_id: sign for bound_id, sign, _ in UNSIGNED_CATALOG}
         for g in random_graphs(40, base_seed=2500, connected=True, n_max=10):
-            lap_radius = spectral_radius_laplacian(sign_all(g, 1))
-            q_radius = spectral_radius_laplacian(sign_all(g, -1))
+            lap_radius = eigenvalues(laplacian(sign_all(g, 1)))[-1]
+            q_radius = eigenvalues(laplacian(sign_all(g, -1)))[-1]
             for res in unsigned_corollaries(g):
                 if not res.applicable:
                     continue
@@ -314,6 +366,16 @@ class TestEvaluateAll:
         na = BoundResult("FAKE-NA", "upper", False, "guarded", None)
         bad = sandwich_violations((fake_low, fake_up, ok, na), 5.0, 1e-9)
         assert [(r.bound_id, round(mag, 9)) for r, mag in bad] == [("FAKE-L", 5.0), ("FAKE-U", 4.0)]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_raises(self, tol):
+        # NaN fails every comparison and +inf passes every one, so either
+        # would make the sandwich check vacuous.
+        ok = BoundResult("FAKE-OK", "lower", True, "", 4.0)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            sandwich_violations((ok,), 5.0, tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            evaluate_all(K3M, tol=tol)
 
     def test_sandwich_on_random_connected(self):
         for g in random_graphs(100, base_seed=3000, connected=True):

@@ -206,6 +206,18 @@ class TestHostileSizes:
         assert code == 2 and not out
         assert "exceeds the limit" in err
 
+    def test_verify_above_generator_cap(self, capsys, monkeypatch):
+        # The parser accepts far larger orders, but generate's O(n^2) pair
+        # scan has its own, lower cap.
+        def unreachable(cfg):
+            raise AssertionError("generate called with an oversized n")
+
+        monkeypatch.setattr("sglap.harness.generate", unreachable)
+        code, out, err = run(capsys, ["verify", "--n", "10001", "--edge-prob", "0",
+                                      "--neg-prob", "0.5", "--trials", "1", "--seed", "1"])
+        assert code == 2 and not out
+        assert err == "error: n 10001 exceeds the limit 10000\n"
+
     def test_memory_error_exits_2(self, capsys, graph_file, monkeypatch):
         def exhausted(g1, g2):
             raise MemoryError

@@ -77,6 +77,10 @@ class TestGenerate:
             GeneratorConfig(n=3, edge_prob=1.5, neg_prob=0.5, seed=1)
         with pytest.raises(ValueError):
             GeneratorConfig(n=3, edge_prob=0.5, neg_prob=-0.1, seed=1)
+        # generate scans every vertex pair, so n has its own cap.
+        GeneratorConfig(n=10_000, edge_prob=0.5, neg_prob=0.5, seed=1)
+        with pytest.raises(ValueError, match="exceeds the limit 10000"):
+            GeneratorConfig(n=10_001, edge_prob=0.5, neg_prob=0.5, seed=1)
 
 
 class TestVerify:
@@ -93,6 +97,14 @@ class TestVerify:
         for trials in (0, -5):
             with pytest.raises(ValueError, match="at least 1"):
                 verify(cfg, trials=trials)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tol_raises(self, tol):
+        # NaN and +inf would pass every check, so the report would be a
+        # vacuous PASS.
+        cfg = GeneratorConfig(n=8, edge_prob=0.5, neg_prob=0.5, seed=1)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            verify(cfg, 3, tol=tol)
 
     def test_impossible_connected_config_raises(self):
         cfg = GeneratorConfig(n=4, edge_prob=0.0, neg_prob=0.5, seed=1,

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import K3M, K3P, K3P_K3N, random_graphs
+from common import K3M, K3P, K3P_K3N, one_sign_subgraph, random_graphs
 from sglap import (
     SignedGraph,
     balance_info,
     degree_profile,
     evaluate_all,
-    induced_sign_subgraph,
     laplacian,
     sign_all,
     switch,
@@ -139,7 +138,7 @@ class TestDerivedGraphsStartEmpty:
     def test_induced_subgraph_recomputes_statistics(self):
         g = twin(K3M)
         warm(g)
-        neg = induced_sign_subgraph(g, -1)
+        neg = one_sign_subgraph(g, -1)
         assert degree_profile(neg).d == (1, 0, 1)
         assert triangle_stats(neg).t == 0
         assert balance_info(neg).component_count == 2
@@ -154,8 +153,8 @@ class TestDerivedGraphsStartEmpty:
             switch(g, tuple(theta)),
             sign_all(g, 1),
             sign_all(g, -1),
-            induced_sign_subgraph(g, 1),
-            induced_sign_subgraph(g, -1),
+            one_sign_subgraph(g, 1),
+            one_sign_subgraph(g, -1),
         )
         for h in derived:
             warm(h)

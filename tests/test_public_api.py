@@ -7,8 +7,8 @@ import types
 import sglap
 from sglap import balance, bounds, harness, sgraph, spectra
 
-BALANCE = ["BalanceInfo", "SwitchingVerdict", "balance_info", "induced_sign_subgraph",
-           "is_connected", "laplacian_rank", "switch", "switching_equivalent"]
+BALANCE = ["BalanceInfo", "SwitchingVerdict", "balance_info", "is_connected",
+           "laplacian_rank", "switch", "switching_equivalent"]
 BOUNDS = ["BoundEvaluation", "BoundResult", "DEFAULT_TOL",
           "InternalInconsistencyError", "SIGNED_CATALOG", "UNSIGNED_CATALOG",
           "classic_bounds", "evaluate_all", "lb_interlacing", "lb_net_cubic", "lb_net_mean",
@@ -21,11 +21,12 @@ SGRAPH = ["DegreeProfile", "GraphFormatError", "SignedGraph",
           "TriangleStats", "degree_profile", "parse_signed_graph", "serialize_signed_graph",
           "triangle_stats"]
 SPECTRA = ["eigenvalues", "laplacian", "power_traces", "rayleigh_moment", "sign_all",
-           "spectral_radius_laplacian", "trace_moment"]
+           "trace_moment"]
 MODULES = {balance: BALANCE, bounds: BOUNDS, harness: HARNESS, sgraph: SGRAPH,
            spectra: SPECTRA}
 # Public names reached only by module path.
-MODULE_ONLY = {bounds: ["LOWER", "UPPER"], harness: ["format_value", "render_table"],
+MODULE_ONLY = {bounds: ["LOWER", "UPPER"],
+               harness: ["MAX_GENERATED_VERTICES", "format_value", "render_table"],
                sgraph: ["MAX_VERTICES"]}
 
 
