@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .sgraph import SignedGraph, cached_on_graph
+import numpy as np
+
+from .sgraph import SignedGraph, cached_on_graph, edge_arrays
 
 __all__ = [
     "BalanceInfo",
@@ -59,14 +61,15 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
         raise ValueError(f"switching function has length {len(th)}, graph has {g.n} vertices")
     if not set(th) <= {1, -1}:
         raise ValueError("switching values must be +1 or -1")
+    th = [int(t) for t in th]  # a numpy +1 would make numpy edge signs
     return SignedGraph(
         g.n, frozenset([(i, j, th[i - 1] * s * th[j - 1]) for i, j, s in g.edges])
     )
 
 
 def _propagate_signs(n: int, nbrs) -> tuple[list[int], list[int], list[bool]]:
-    """Breadth-first sign propagation over vertices 1..n, where ``nbrs[u]``
-    lists u's (neighbor, sign) pairs.
+    """Breadth-first sign propagation over vertices 1..n, where ``nbrs(u)``
+    iterates u's (neighbor, sign) pairs; it is called once per vertex.
 
     Roots are taken in vertex order with theta = +1; a newly reached vertex
     gets theta(v) = sign(uv) * theta(u), and any other edge with sign !=
@@ -87,7 +90,7 @@ def _propagate_signs(n: int, nbrs) -> tuple[list[int], list[int], list[bool]]:
         queue = [root]
         for u in queue:  # the list grows while it is read: a FIFO queue
             tu = theta[u]
-            for v, s in nbrs[u]:
+            for v, s in nbrs(u):
                 if labels[v] < 0:
                     labels[v] = comp
                     theta[v] = s * tu
@@ -112,7 +115,7 @@ def balance_info(g: SignedGraph) -> BalanceInfo:
     for i, j, s in sorted(g.edges):
         nbrs[i].append((j, s))
         nbrs[j].append((i, s))
-    labels, theta, balanced = _propagate_signs(g.n, nbrs)
+    labels, theta, balanced = _propagate_signs(g.n, nbrs.__getitem__)
     return BalanceInfo(
         component_count=len(balanced),
         balanced_count=sum(balanced),
@@ -136,30 +139,38 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
 
     Requires identical underlying graphs; then the two are equivalent iff
     the product signature (edgewise sign product) is balanced on every
-    component.  Runs in O(n + m) without building a product graph: one pass
-    over g1's edges looks each up in g2's edge set, which both compares the
-    underlying graphs and lists the product signs per vertex, then one
-    breadth-first search.  The returned witness satisfies
-    switch(g1, witness) == g2 and is +1 at the smallest vertex of each
-    component.
+    component.  Runs in O(n + m log m) without building a product graph:
+    both graphs' :func:`edge_arrays` are sorted by pair, so comparing their
+    index arrays compares the underlying graphs and multiplying their sign
+    arrays gives the product signature; a sort of the edges taken from both
+    ends lists it per vertex, then one breadth-first search.  The returned
+    witness satisfies switch(g1, witness) == g2 and is +1 at the smallest
+    vertex of each component.
     """
     no = SwitchingVerdict(False, None)
     if g1.n != g2.n or g1.m != g2.m:
         return no
-    edges2 = g2.edges
-    product: list[list[tuple[int, int]]] = [[] for _ in range(g1.n + 1)]
-    for e in g1.edges:
-        i, j, s = e
-        if e in edges2:
-            p = 1
-        elif (i, j, -s) in edges2:
-            p = -1
-        else:  # with equal m, a missing pair means different underlying graphs
-            return no
-        product[i].append((j, p))
-        product[j].append((i, p))
-    _, theta, balanced = _propagate_signs(g1.n, product)
+    i, j, s1 = edge_arrays(g1)
+    i2, j2, s2 = edge_arrays(g2)
+    if not (np.array_equal(i, i2) and np.array_equal(j, j2)):
+        return no
+    # Each edge from both ends, its higher end first, stably sorted by
+    # source: since the pairs ascend by (i, j), vertex v's targets are then
+    # one ascending slice, the lower ones and then the higher ones.
+    src = np.concatenate((j, i))
+    order = np.argsort(src, kind="stable")
+    ends = np.bincount(src, minlength=g1.n + 1).cumsum().tolist()
+    del src
+    dst = np.concatenate((i, j))[order]
+    product = (s1 * s2)[order % g1.m]
+    del order
+
+    def nbrs(u):
+        # Python ints for one vertex at a time: the search asks once per vertex.
+        a, b = ends[u - 1], ends[u]
+        return zip(dst[a:b].tolist(), product[a:b].tolist())
+
+    _, theta, balanced = _propagate_signs(g1.n, nbrs)
     if all(balanced):
         return SwitchingVerdict(True, tuple(theta))
     return no
-

@@ -90,7 +90,7 @@ class GeneratorConfig:
     require_connected: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.n > MAX_GENERATED_VERTICES:
             raise ValueError(f"n {self.n} exceeds the limit {MAX_GENERATED_VERTICES}")

@@ -5,17 +5,22 @@ with i < j and sign +1 or -1, and a graph's frozenset of them is its only
 edge form; graphs are simple (no loops, no parallel edges).  All types are
 immutable after construction; every operation here is a pure function.
 Statistics of a graph are memoised on the graph object itself (see
-:func:`cached_on_graph`), so each is computed once per graph.  Triangles
-are counted combinatorially, from per-vertex neighbor bitmasks, never from
-a matrix, so ``spectra.power_traces`` checked against a matrix trace stays
-an independent check.
+:func:`cached_on_graph`), so each is computed once per graph; one of them,
+:func:`edge_arrays`, is the edge set as sorted int64 arrays for per-edge
+numpy work.  Triangles are counted combinatorially, from per-vertex
+neighbor bitmasks, never from a matrix, so ``spectra.power_traces`` checked
+against a matrix trace stays an independent check.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "GraphFormatError",
@@ -34,6 +39,15 @@ _SIGN_TOKENS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 # lists by n and matrices by n^2, so a few bytes of header must not be able
 # to ask for more.
 MAX_VERTICES = 1_000_000
+
+# Text exactly as serialize_signed_graph writes it, up to the order of the
+# edge lines and of the two indices on a line: the header, then "i j sign"
+# lines, every number at most 7 ASCII digits.  The lines are checked by
+# searching for a line start that begins no such line and does not end the
+# text.  One match of a repeated group would do the same, but it keeps
+# state for every line it has matched: 86 MB for 500 000 lines.
+_SERIALIZED_HEADER = re.compile(r"n [0-9]{1,7}\n")
+_NOT_SERIALIZED_LINE = re.compile(r"^(?![0-9]{1,7} [0-9]{1,7} [+-]\n|\Z)", re.MULTILINE)
 
 
 class GraphFormatError(ValueError):
@@ -83,12 +97,16 @@ class SignedGraph:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 1:
+        # Exact ints only: a bool or a numpy integer compares and hashes like
+        # the int it stands for, so it would pass every other check.
+        if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         edges = self.edges
         repeated = set()
         for e in edges:
             i, j, sign = e
+            if type(i) is not int or type(j) is not int or type(sign) is not int:
+                raise ValueError(f"edge {e} has an entry that is not an int")
             if not (1 <= i < j <= n):
                 raise ValueError(f"edge {e} out of range for n={n} (need 1 <= i < j <= n)")
             if sign not in (1, -1):
@@ -119,6 +137,26 @@ class SignedGraph:
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
+
+
+def _read_only_columns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, sign) columns of ``edges``, an array that owns its data and
+    holds three numbers per edge.  It becomes read-only, so no view of it
+    can be made writeable again."""
+    edges.setflags(write=False)
+    rows = edges.reshape(-1, 3)
+    return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
+@cached_on_graph
+def edge_arrays(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``g``'s edges as read-only int64 arrays ``(i, j, sign)`` sorted by
+    (i, j), so two graphs on the same pairs have equal ``i`` and ``j``."""
+    # Python's sort of the tuples, not numpy's: at n = 10 it is the cheaper
+    # one, and graphs read in the serializer's form arrive with these arrays
+    # already stored by the parser.
+    return _read_only_columns(np.fromiter(itertools.chain.from_iterable(sorted(g.edges)),
+                                          dtype=np.int64, count=3 * g.m))
 
 
 @dataclass(frozen=True)
@@ -227,11 +265,53 @@ def parse_signed_graph(text: str) -> SignedGraph:
     Without a header the vertex count is the largest index seen.  Neither
     may exceed :data:`MAX_VERTICES`.
 
+    Text in the form :func:`serialize_signed_graph` writes (edge lines in
+    any order, either index first) is read by numpy in one pass; any other
+    text, and any such text that breaks a rule, is read line by line, so
+    every error comes from the line reader.
+
     Raises:
         GraphFormatError: malformed line, duplicate edge, self-loop, index
             out of range, vertex count over the limit, or missing sign
             token, with the line number.
     """
+    header = _SERIALIZED_HEADER.match(text)
+    if header and not _NOT_SERIALIZED_LINE.search(text, header.end()):
+        g = _parse_serialized(text)
+        if g is not None:
+            return g
+    return _parse_lines(text)
+
+
+def _parse_serialized(text: str) -> SignedGraph | None:
+    """The graph of a text in the serializer's form, or None if the text
+    breaks a rule of the format (the line reader then names the error).
+
+    The graph is built by the checked constructor, from Python ints, and
+    leaves with its :func:`edge_arrays` already stored.
+    """
+    # Signs become numbers and the header's "n" goes, so the text is one
+    # flat run of integers: the vertex count, then three per edge.
+    flat = np.fromstring(text[1:].replace("+", "1").replace("-", "-1"),
+                         dtype=np.int64, sep=" ")
+    n = int(flat[0])
+    rows = flat[1:].reshape(-1, 3)
+    i, j = rows[:, 0], rows[:, 1]
+    # Smaller index first (i and j are views, so they follow), then the rows
+    # sorted by (i, j) through one int64 key: n has at most 7 digits.
+    rows[:, 0], rows[:, 1] = np.minimum(i, j), np.maximum(i, j)
+    i, j, sign = _read_only_columns(rows[np.argsort(i * (n + 1) + j)])
+    del flat, rows
+    if (not 1 <= n <= MAX_VERTICES or (i == j).any() or (i < 1).any() or (j > n).any()
+            or ((i[1:] == i[:-1]) & (j[1:] == j[:-1])).any()):
+        return None
+    g = SignedGraph(n, frozenset(zip(i.tolist(), j.tolist(), sign.tolist())))
+    g._memo[edge_arrays.__wrapped__] = (i, j, sign)
+    return g
+
+
+def _parse_lines(text: str) -> SignedGraph:
+    """The line reader: every input form, and every ``GraphFormatError``."""
     header_n: int | None = None
     saw_content = False
     edges: list[tuple[int, int, int]] = []

@@ -11,11 +11,9 @@ tuple of floats.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .sgraph import SignedGraph, cached_on_graph, degree_profile, triangle_stats
+from .sgraph import SignedGraph, cached_on_graph, degree_profile, edge_arrays, triangle_stats
 
 __all__ = [
     "laplacian",
@@ -31,9 +29,7 @@ __all__ = [
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Laplacian D - A: degrees on the diagonal, negated signs off it.
     Read-only: the per-graph memo hands one array to every caller."""
-    # Endpoint and sign arrays of g's edges, read in one pass.
-    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64, count=3 * g.m)
-    i, j, sign = flat.reshape(-1, 3).T
+    i, j, sign = edge_arrays(g)
     i, j = i - 1, j - 1
     m = np.zeros((g.n, g.n), dtype=np.int64)
     m[i, j] = m[j, i] = -sign
@@ -50,6 +46,7 @@ def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    sign = int(sign)  # a numpy -1 would make numpy edge signs
     return SignedGraph(g.n, frozenset([(i, j, sign) for i, j, _ in g.edges]))
 
 

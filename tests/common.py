@@ -110,13 +110,17 @@ def oracle_parse(text: str) -> SignedGraph:
 
 def oracle_graph_error(n, edges) -> str | None:
     """The ``ValueError`` message ``SignedGraph(n, edges)`` must raise, or
-    None: every edge checked in iteration order, range before sign before a
-    repeated pair, with the pairs seen so far kept in a set."""
-    if not isinstance(n, int) or n < 1:
+    None: n and every edge entry must be exact ints (not bool, not numpy),
+    and every edge is checked in iteration order, entry types before range
+    before sign before a repeated pair, with the pairs seen so far kept in a
+    set."""
+    if type(n) is not int or n < 1:
         return f"vertex count must be a positive integer, got {n!r}"
     pairs = set()
     for e in edges:
         i, j, s = e
+        if any(type(x) is not int for x in e):
+            return f"edge {e} has an entry that is not an int"
         if not (1 <= i < j <= n):
             return f"edge {e} out of range for n={n} (need 1 <= i < j <= n)"
         if s not in (1, -1):
@@ -125,6 +129,45 @@ def oracle_graph_error(n, edges) -> str | None:
             return f"duplicate edge between {i} and {j}"
         pairs.add((i, j))
     return None
+
+
+def oracle_switching_equivalent(g1: SignedGraph, g2: SignedGraph):
+    """``(equivalent, witness)`` by the set-based search the package used
+    before its edge arrays: each of g1's edges is looked up in g2's edge set
+    (a missing pair means different underlying graphs), product signs are
+    listed per vertex, and a breadth-first search from each smallest
+    unvisited vertex, with theta = +1 there, propagates them.  The witness is
+    None unless every component is balanced."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return False, None
+    product: list[list[tuple[int, int]]] = [[] for _ in range(g1.n + 1)]
+    for e in g1.edges:
+        i, j, s = e
+        if e in g2.edges:
+            p = 1
+        elif (i, j, -s) in g2.edges:
+            p = -1
+        else:
+            return False, None
+        product[i].append((j, p))
+        product[j].append((i, p))
+    seen = [False] * (g1.n + 1)
+    theta = [1] * (g1.n + 1)
+    for root in range(1, g1.n + 1):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, p in product[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    theta[v] = p * theta[u]
+                    queue.append(v)
+                elif theta[v] != p * theta[u]:
+                    return False, None
+    return True, tuple(theta[1:])
 
 
 def oracle_laplacian(g: SignedGraph) -> np.ndarray:

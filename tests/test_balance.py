@@ -20,6 +20,7 @@ from common import (
     oracle_components,
     oracle_eigs,
     oracle_laplacian,
+    oracle_switching_equivalent,
     random_graphs,
 )
 from sglap import (
@@ -29,10 +30,12 @@ from sglap import (
     is_connected,
     laplacian,
     laplacian_rank,
+    parse_signed_graph,
     sign_all,
     switch,
     switching_equivalent,
 )
+from sglap.sgraph import edge_arrays
 from test_sgraph import signed_graphs
 
 
@@ -204,6 +207,83 @@ class TestSwitchingEquivalent:
                 assert ab.witness is None and ba.witness is None
                 checked += 1
         assert checked > 100
+
+
+def _partners(g: SignedGraph, rng: random.Random) -> list[SignedGraph]:
+    """Graphs to compare ``g`` with: a switching of g (equivalent), the same
+    switching with one edge flipped (inequivalent when that edge lies on a
+    cycle), and g with one edge moved to a free pair (equal n and m,
+    different pairs)."""
+    theta = tuple(rng.choice((1, -1)) for _ in range(g.n))
+    switched = switch(g, theta)
+    out = [switched]
+    if g.m:
+        i, j, s = rng.choice(sorted(switched.edges))
+        out.append(SignedGraph(g.n, (switched.edges - {(i, j, s)}) | {(i, j, -s)}))
+        if g.m < g.n * (g.n - 1) // 2:
+            while True:
+                a, b = sorted(rng.sample(range(1, g.n + 1), 2))
+                if (a, b, 1) not in g.edges and (a, b, -1) not in g.edges:
+                    break
+            out.append(SignedGraph(g.n, (g.edges - {(i, j, s), (i, j, -s)}) | {(a, b, s)}))
+    return out
+
+
+def _shuffled_text(g: SignedGraph, rng: random.Random) -> str:
+    """``g`` in the serializer's form, edge lines shuffled and some reversed."""
+    lines = [f"{j} {i}" if rng.random() < 0.5 else f"{i} {j}" for i, j, _ in g.edges]
+    signs = ["+" if s > 0 else "-" for _, _, s in g.edges]
+    body = [f"{pair} {sign}\n" for pair, sign in zip(lines, signs)]
+    rng.shuffle(body)
+    return f"n {g.n}\n" + "".join(body)
+
+
+class TestSwitchingEquivalentMatchesReference:
+    """``switching_equivalent`` against the set-based search it replaced,
+    frozen as ``oracle_switching_equivalent``: the same verdict and witness,
+    on graphs built directly (edge arrays computed on demand) and on graphs
+    parsed from the serializer's form (edge arrays stored by the parser)."""
+
+    def _check(self, a: SignedGraph, b: SignedGraph, rng: random.Random) -> None:
+        want = oracle_switching_equivalent(a, b)
+        assert switching_equivalent(a, b) == want
+        pa = parse_signed_graph(_shuffled_text(a, rng))
+        pb = parse_signed_graph(_shuffled_text(b, rng))
+        assert edge_arrays.__wrapped__ in pa._memo and edge_arrays.__wrapped__ in pb._memo
+        assert switching_equivalent(pa, pb) == want
+
+    def test_seeded_corpus(self):
+        rng = random.Random(2_024)
+        graphs = random_graphs(120, base_seed=6_100, n_min=1, n_max=14, prob_lo=0.05)
+        # Isolated vertices, a disconnected graph, and no edges at all.
+        graphs += [K3P_K3N, EMPTY3, SignedGraph.from_edges(9, [(2, 5, -1), (5, 7, 1), (2, 7, -1),
+                                                               (3, 8, 1)])]
+        verdicts = set()
+        for g in graphs:
+            for h in _partners(g, rng):
+                self._check(g, h, rng)
+                self._check(h, g, rng)
+                verdicts.add(oracle_switching_equivalent(g, h)[0])
+        assert verdicts == {True, False}
+
+    @given(graphs_with_switchings(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_pairs(self, gt, rng):
+        g, theta = gt
+        for h in (switch(g, theta), *_partners(g, rng)):
+            self._check(g, h, rng)
+
+    def test_n2000(self):
+        rng = random.Random(2_000)
+        pairs = set()
+        while len(pairs) < 6_000:
+            a, b = sorted(rng.sample(range(1, 2_001), 2))
+            pairs.add((a, b))
+        g = SignedGraph(2_000, frozenset((a, b, rng.choice((1, -1))) for a, b in pairs))
+        partners = _partners(g, rng)
+        for h in partners:
+            self._check(g, h, rng)
+        assert [oracle_switching_equivalent(g, h)[0] for h in partners] == [True, False, False]
 
 
 class TestInducedSubgraphs:

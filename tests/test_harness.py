@@ -81,6 +81,9 @@ class TestGenerate:
         GeneratorConfig(n=10_000, edge_prob=0.5, neg_prob=0.5, seed=1)
         with pytest.raises(ValueError, match="exceeds the limit 10000"):
             GeneratorConfig(n=10_001, edge_prob=0.5, neg_prob=0.5, seed=1)
+        # True == 1, so only the type tells a bool from a vertex count.
+        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+            GeneratorConfig(n=True, edge_prob=0.5, neg_prob=0.5, seed=1)
 
 
 class TestVerify:

@@ -1,7 +1,7 @@
 """Per-graph memoisation of the sign-blind statistics.
 
-``degree_profile``, ``triangle_stats``, ``balance_info`` and ``laplacian``
-are computed once per graph object.  These tests check
+``degree_profile``, ``triangle_stats``, ``balance_info``, ``laplacian``
+and ``edge_arrays`` are computed once per graph object.  These tests check
 that a memoised value always equals a fresh computation on an equal but
 distinct graph, that repeated evaluation is bit-identical, and that graphs
 derived from another graph never see its memo.
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import K3M, K3P, K3P_K3N, one_sign_subgraph, random_graphs
+from common import K3M, K3N, K3P, K3P_K3N, one_sign_subgraph, random_graphs
 from sglap import (
     SignedGraph,
     balance_info,
@@ -26,6 +26,7 @@ from sglap import (
     switch,
     triangle_stats,
 )
+from sglap.sgraph import edge_arrays
 from test_sgraph import signed_graphs
 
 STATS = (degree_profile, triangle_stats, balance_info)
@@ -43,12 +44,18 @@ def assert_stats_equal_fresh(g: SignedGraph) -> None:
         assert stat(g) == stat(fresh)
     assert laplacian(g).dtype == laplacian(fresh).dtype
     assert np.array_equal(laplacian(g), laplacian(fresh))
+    for got, want in zip(edge_arrays(g), edge_arrays(fresh), strict=True):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    i, j, sign = edge_arrays(fresh)
+    assert sorted(g.edges) == list(zip(i.tolist(), j.tolist(), sign.tolist()))
 
 
 def warm(g: SignedGraph) -> None:
     for stat in STATS:
         stat(g)
     laplacian(g)
+    edge_arrays(g)
 
 
 class TestMemoMatchesFresh:
@@ -65,7 +72,7 @@ class TestMemoMatchesFresh:
 
     def test_second_call_returns_the_stored_value(self):
         g = twin(K3M)
-        for fn in (*STATS, laplacian):
+        for fn in (*STATS, laplacian, edge_arrays):
             assert fn(g) is fn(g)
             assert fn(g) is not fn(twin(g))
 
@@ -80,6 +87,24 @@ class TestMemoMatchesFresh:
         g = twin(K3M)
         with pytest.raises(ValueError):
             laplacian(g)[0, 0] = 7
+        for column in edge_arrays(g):
+            with pytest.raises(ValueError):
+                column[0] = 7
+            with pytest.raises(ValueError):
+                column.setflags(write=True)
+
+    def test_laplacian_reads_the_stored_edge_arrays(self, monkeypatch):
+        # With K3N's arrays stored on a twin of K3M, the twin's Laplacian is
+        # K3N's: it is built from the stored arrays, and reading the edge set
+        # again (np.fromiter) would fail.
+        g = twin(K3M)
+        g._memo[edge_arrays.__wrapped__] = edge_arrays(K3N)
+
+        def no_second_read(*args, **kwargs):
+            raise AssertionError("edge set read twice")
+
+        monkeypatch.setattr(np, "fromiter", no_second_read)
+        assert laplacian(g).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
 
 class TestRepeatedEvaluation:
@@ -157,6 +182,7 @@ class TestDerivedGraphsStartEmpty:
             one_sign_subgraph(g, -1),
         )
         for h in derived:
+            assert h._memo == {}
             warm(h)
             assert_stats_equal_fresh(h)
         assert_stats_equal_fresh(g)

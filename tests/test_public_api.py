@@ -27,7 +27,7 @@ MODULES = {balance: BALANCE, bounds: BOUNDS, harness: HARNESS, sgraph: SGRAPH,
 # Public names reached only by module path.
 MODULE_ONLY = {bounds: ["LOWER", "UPPER"],
                harness: ["MAX_GENERATED_VERTICES", "format_value", "render_table"],
-               sgraph: ["MAX_VERTICES"]}
+               sgraph: ["MAX_VERTICES", "edge_arrays"]}
 
 
 def test_public_names():

@@ -1,6 +1,8 @@
 import gc
 import platform
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from sglap import (
     trace_moment,
     triangle_stats,
 )
+from sglap.sgraph import edge_arrays
 
 
 @st.composite
@@ -83,13 +86,76 @@ def edge_list_texts(draw):
 
 
 # Constructor inputs: ordered edges on vertices 1-6, where the same pair with
-# both signs is common, plus at most one unordered, out-of-range or bad-sign
-# triple.
+# both signs is common, plus at most one unordered, out-of-range, bad-sign or
+# not-int triple.  A bool, a numpy integer or a float equal to an int
+# compares and hashes like it, so only its type can reject it.
 _ordered_edges = st.builds(lambda pair, sign: (*pair, sign),
                            st.sampled_from([(i, j) for i in range(1, 7) for j in range(i + 1, 7)]),
                            st.sampled_from((1, -1)))
-_any_edges = st.tuples(st.integers(0, 7), st.integers(0, 7),
-                       st.sampled_from((1, -1, 0, 2)))
+_NOT_INT_EDGES = ((True, 2, 1), (1, 2, True), (np.int64(1), 2, 1), (1, np.int64(2), -1),
+                  (1, 3, np.int64(-1)), (1, 4, 1.0), (2.0, 5, -1))
+_any_edges = st.one_of(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                 st.sampled_from((1, -1, 0, 2))),
+                       st.sampled_from(_NOT_INT_EDGES))
+
+
+# Texts in the exact form serialize_signed_graph writes, edge lines shuffled
+# and each written either way round, with at most one planted defect.  A
+# defect either breaks the format's rules, which only the line reader may
+# report, or leaves the form (an 8-digit number), so the line reader parses
+# the text; leading zeros keep the form and the graph.
+_MAX_N = 1_000_000
+_DEFECTS = (None, None, None, "leading zeros", "self-loop", "duplicate", "index 0",
+            "index above n", "header 0", "header above limit", "8 digits", "empty body")
+
+
+@st.composite
+def serialized_texts(draw):
+    """(text, array_form): ``array_form`` says the text is valid and in the
+    serializer's form, so the parser must read it through the arrays."""
+    n = draw(st.sampled_from((1, 2, 3, 5, 9, 12, 40, 9_999, _MAX_N)))
+    window = draw(st.integers(1, max(1, n - 11)))  # pairs within 12 vertices
+    verts = range(window, min(n, window + 11) + 1)
+    pairs = [(i, j) for i in verts for j in verts if i < j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    lines = [[i, j, draw(st.sampled_from("+-"))] for i, j in chosen]
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "duplicate" and not lines:
+        defect = None
+    header = str(n)
+    if defect == "self-loop":
+        v = draw(st.sampled_from(verts))
+        lines.append([v, v, "+"])
+    elif defect == "duplicate":
+        i, j, sign = draw(st.sampled_from(lines))
+        lines.append([i, j, draw(st.sampled_from("+-"))])
+    elif defect == "index 0":
+        lines.append([0, draw(st.sampled_from(verts)), "-"])
+    elif defect == "index above n":
+        lines.append([draw(st.sampled_from(verts)), draw(st.sampled_from((n + 1, 9_999_999))), "+"])
+    elif defect == "header 0":
+        header = draw(st.sampled_from(("0", "000")))
+    elif defect == "header above limit":
+        header = draw(st.sampled_from((str(_MAX_N + 1), "9999999")))
+    elif defect == "empty body":
+        lines = []
+    for line in lines:
+        if draw(st.booleans()):
+            line[0], line[1] = line[1], line[0]
+    order = draw(st.permutations(range(len(lines))))
+    body = [lines[k] for k in order]
+    texts = [[str(i), str(j), sign] for i, j, sign in body]
+    if defect in ("leading zeros", "8 digits") and texts:
+        row, col = draw(st.integers(0, len(texts) - 1)), draw(st.integers(0, 1))
+        number = texts[row][col]
+        width = 8 if defect == "8 digits" else draw(st.integers(len(number), 7))
+        texts[row][col] = number.zfill(width) if width > len(number) else "0" + number
+    elif defect in ("leading zeros", "8 digits"):
+        header = header.zfill(8 if defect == "8 digits" else 7)
+    text = f"n {header}\n" + "".join(f"{i} {j} {sign}\n" for i, j, sign in texts)
+    array_form = defect in (None, "leading zeros", "empty body") and all(
+        len(x) <= 7 for row in texts for x in row) and len(header) <= 7
+    return text, array_form
 
 
 class TestSignedGraph:
@@ -107,7 +173,8 @@ class TestSignedGraph:
         with pytest.raises(ValueError, match="duplicate edge between 1 and 2"):
             SignedGraph(3, frozenset({(1, 2, 1), (1, 2, -1)}))
 
-    @given(st.sampled_from((6, 6, 6, 5, 0)), st.frozensets(_ordered_edges, max_size=12),
+    @given(st.sampled_from((6, 6, 6, 5, 0, True, np.int64(6))),
+           st.frozensets(_ordered_edges, max_size=12),
            st.frozensets(_any_edges, max_size=1))
     @settings(max_examples=300)
     def test_constructor_errors_match_oracle(self, n, edges, noise):
@@ -131,6 +198,18 @@ class TestSignedGraph:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             SignedGraph.from_edges(0, [])
+
+    def test_rejects_values_that_are_not_ints(self):
+        # Each is equal to, and hashes like, a valid graph's value.
+        with pytest.raises(ValueError, match="vertex count must be a positive integer, got True"):
+            SignedGraph(True, frozenset())
+        with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+            SignedGraph(np.int64(2), frozenset())
+        for edge in _NOT_INT_EDGES + ((np.int64(1), np.int64(2), np.int64(1)),):
+            with pytest.raises(ValueError, match="has an entry that is not an int"):
+                SignedGraph(6, frozenset({edge}))
+            with pytest.raises(ValueError, match="has an entry that is not an int"):
+                SignedGraph.from_edges(6, [edge])
 
     def test_hashable_and_equal(self):
         g1 = SignedGraph.from_edges(3, [(1, 2, 1), (2, 3, -1)])
@@ -223,6 +302,50 @@ class TestParser:
             got = parse_signed_graph(text)
             assert got == want
             assert all(type(e) is tuple for e in got.edges)
+
+    @given(serialized_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_serializer_form_matches_oracle_parser(self, case):
+        text, array_form = case
+        try:
+            want = oracle_parse(text)
+        except GraphFormatError as exc:
+            assert not array_form
+            with pytest.raises(GraphFormatError) as got:
+                parse_signed_graph(text)
+            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+            return
+        got = parse_signed_graph(text)
+        assert got == want
+        assert all(type(x) is int for e in got.edges for x in e)
+        # Only the array path stores the edge arrays while parsing.
+        assert (edge_arrays.__wrapped__ in got._memo) == array_form
+        fresh = SignedGraph(got.n, frozenset(got.edges))
+        for seeded, recomputed in zip(edge_arrays(got), edge_arrays(fresh)):
+            assert seeded.dtype == recomputed.dtype == np.int64
+            assert np.array_equal(seeded, recomputed)
+            assert not seeded.flags.writeable
+
+    def test_serializer_form_goes_through_the_constructor(self, monkeypatch):
+        g = generate(GeneratorConfig(n=300, edge_prob=0.1, neg_prob=0.5, seed=11))
+        lines = serialize_signed_graph(g).splitlines(keepends=True)
+        body = lines[1:]
+        random.Random(11).shuffle(body)
+        text = lines[0] + "".join(" ".join(reversed(line.split()[:2])) + line[-3:]
+                                  if k % 2 else line for k, line in enumerate(body))
+        built = []
+        check = SignedGraph.__post_init__
+        monkeypatch.setattr(SignedGraph, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        got = parse_signed_graph(text)
+        assert got == g and built == [got]
+        assert edge_arrays.__wrapped__ in got._memo
+        if platform.python_implementation() == "CPython":
+            gc.collect()  # exact tuples of ints leave the collector, as on the line path
+            assert not any(gc.is_tracked(e) for e in got.edges)
+        # A rule broken in the same form is reported by the line reader.
+        with pytest.raises(GraphFormatError, match=f"line {len(lines) + 1}: duplicate edge"):
+            parse_signed_graph(text + body[0])
 
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",

@@ -64,6 +64,12 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError):
             sign_all(K3M, 0)
 
+    def test_sign_all_takes_a_numpy_sign(self):
+        for sign, want in ((np.int64(-1), K3N), (np.int64(1), K3P)):
+            got = sign_all(K3M, sign)
+            assert got == want
+            assert all(type(x) is int for e in got.edges for x in e)
+
 
 class TestEigenvalues:
     def test_rejects_asymmetric(self):
