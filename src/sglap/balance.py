@@ -107,12 +107,13 @@ def balance_info(g: SignedGraph) -> BalanceInfo:
 
     Each component root gets theta = +1 and every newly reached vertex gets
     theta(v) = sign(uv) * theta(u); the component is balanced iff every edge
-    satisfies sign = theta(i) * theta(j).  Neighbor lists are built from the
-    sorted edges, so each ascends and the certificate on an unbalanced
-    component does not depend on the order ``g.edges`` iterates in.
+    satisfies sign = theta(i) * theta(j).  Neighbor lists are built from
+    :func:`edge_arrays`, sorted by pair, so each ascends and the certificate
+    on an unbalanced component does not depend on the order ``g.edges``
+    iterates in.
     """
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for i, j, s in sorted(g.edges):
+    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
         nbrs[i].append((j, s))
         nbrs[j].append((i, s))
     labels, theta, balanced = _propagate_signs(g.n, nbrs.__getitem__)

@@ -23,7 +23,9 @@ from .spectra import eigenvalues, laplacian
 
 
 def _load(path: str) -> SignedGraph:
-    return parse_signed_graph(Path(path).read_text(encoding="utf-8"))
+    # "utf-8-sig" drops a leading byte-order mark, which editors on some
+    # systems write; the parser would read it as part of the first token.
+    return parse_signed_graph(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _cmd_bounds(args, tol: float) -> int:

@@ -1,15 +1,15 @@
 """Signed-graph data model, edge-list text format, and degree/triangle statistics.
 
 Vertices are numbered 1..n.  An edge is a plain ``(i, j, sign)`` tuple
-with i < j and sign +1 or -1, and a graph's frozenset of them is its only
-edge form; graphs are simple (no loops, no parallel edges).  All types are
-immutable after construction; every operation here is a pure function.
-Statistics of a graph are memoised on the graph object itself (see
+with i < j and sign +1 or -1, and a graph's frozenset of them defines it;
+graphs are simple (no loops, no parallel edges).  All types are immutable
+after construction; every operation here is a pure function.  Statistics
+of a graph are memoised on the graph object itself (see
 :func:`cached_on_graph`), so each is computed once per graph; one of them,
-:func:`edge_arrays`, is the edge set as sorted int64 arrays for per-edge
-numpy work.  Triangles are counted combinatorially, from per-vertex
-neighbor bitmasks, never from a matrix, so ``spectra.power_traces`` checked
-against a matrix trace stays an independent check.
+:func:`edge_arrays`, is the same edges as int64 arrays sorted by pair.
+Triangles are counted combinatorially, from per-vertex neighbor bitmasks,
+never from a matrix, so ``spectra.power_traces`` checked against a matrix
+trace stays an independent check.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def cached_on_graph(fn):
 class SignedGraph:
     """A simple undirected graph on vertices 1..n with +1/-1 edge signs.
 
-    ``edges`` holds plain ``(i, j, sign)`` tuples with ``i < j``; it is the
-    graph's only edge form, and every statistic reads it directly.
+    ``edges`` holds plain ``(i, j, sign)`` tuples with ``i < j``; it defines
+    the graph, and :func:`edge_arrays` holds the same edges sorted by pair.
     Construct directly with an already-normalized frozenset, or use
     :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.
     ``_memo`` holds the statistics computed on this instance; it takes no
@@ -313,75 +313,58 @@ def _parse_serialized(text: str) -> SignedGraph | None:
 def _parse_lines(text: str) -> SignedGraph:
     """The line reader: every input form, and every ``GraphFormatError``."""
     header_n: int | None = None
-    saw_content = False
     edges: list[tuple[int, int, int]] = []
     pair_lines: dict[tuple[int, int], int] = {}
-    max_index = 0
-    # Per-line work is bound to locals.
-    first_line = pair_lines.setdefault
-    add_edge = edges.append
-    sign_of = _SIGN_TOKENS.get
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        # Past the first content line every 3-token line is an edge line.
-        if len(tokens) != 3 or not saw_content:
-            if not tokens:
-                continue
-            if not saw_content:
-                saw_content = True
-                if tokens[0] == "n":
-                    if len(tokens) != 2:
-                        raise GraphFormatError(line_no, "malformed header, expected 'n <count>'")
-                    try:
-                        header_n = int(tokens[1])
-                    except ValueError:
-                        raise GraphFormatError(
-                            line_no, f"invalid vertex count {tokens[1]!r}"
-                        ) from None
-                    if header_n < 1:
-                        raise GraphFormatError(line_no, "vertex count must be positive")
-                    if header_n > MAX_VERTICES:
-                        raise GraphFormatError(
-                            line_no, f"vertex count {header_n} exceeds the limit {MAX_VERTICES}"
-                        )
-                    continue
-            if len(tokens) == 2:
-                raise GraphFormatError(line_no, "missing sign token")
-            if len(tokens) != 3:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        # The first content line is the header if it starts with "n".  Every
+        # content line sets the header, adds an edge or raises, so the first
+        # is the one that finds neither set.
+        if header_n is None and not edges and tokens[0] == "n":
+            if len(tokens) != 2:
+                raise GraphFormatError(line_no, "malformed header, expected 'n <count>'")
+            try:
+                header_n = int(tokens[1])
+            except ValueError:
+                raise GraphFormatError(line_no, f"invalid vertex count {tokens[1]!r}") from None
+            if header_n < 1:
+                raise GraphFormatError(line_no, "vertex count must be positive")
+            if header_n > MAX_VERTICES:
                 raise GraphFormatError(
-                    line_no, f"expected '<i> <j> <sign>', got {len(tokens)} fields"
-                )
-        a, b, sign_token = tokens
+                    line_no, f"vertex count {header_n} exceeds the limit {MAX_VERTICES}")
+            continue
+        if len(tokens) == 2:
+            raise GraphFormatError(line_no, "missing sign token")
+        if len(tokens) != 3:
+            raise GraphFormatError(line_no, f"expected '<i> <j> <sign>', got {len(tokens)} fields")
         try:
-            i, j = int(a), int(b)
+            i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphFormatError(line_no, "vertex indices must be integers") from None
-        sign = sign_of(sign_token)
+        sign = _SIGN_TOKENS.get(tokens[2])
         if sign is None:
-            raise GraphFormatError(line_no, f"invalid sign token {sign_token!r}")
+            raise GraphFormatError(line_no, f"invalid sign token {tokens[2]!r}")
+        if i == j:
+            raise GraphFormatError(line_no, f"self-loop at vertex {i}")
         if i > j:
             i, j = j, i
-        elif i == j:
-            raise GraphFormatError(line_no, f"self-loop at vertex {i}")
         if i < 1:
             raise GraphFormatError(line_no, "vertex indices start at 1")
         if header_n is not None and j > header_n:
             raise GraphFormatError(line_no, f"vertex index {j} exceeds declared count {header_n}")
-        first = first_line((i, j), line_no)
+        first = pair_lines.setdefault((i, j), line_no)
         if first != line_no:
             raise GraphFormatError(line_no, f"duplicate edge {i} {j} (first on line {first})")
-        if j > max_index:
-            # Reached only with no header, whose count already bounds j.
-            if j > MAX_VERTICES:
-                raise GraphFormatError(
-                    line_no, f"vertex index {j} exceeds the limit {MAX_VERTICES}"
-                )
-            max_index = j
-        add_edge((i, j, sign))
+        # Only without a header: a declared count already bounds j.
+        if j > MAX_VERTICES:
+            raise GraphFormatError(line_no, f"vertex index {j} exceeds the limit {MAX_VERTICES}")
+        edges.append((i, j, sign))
     if header_n is None:
         if not edges:
             raise GraphFormatError(1, "empty input: need a header line or at least one edge")
-        header_n = max_index
+        header_n = max(j for _, j, _ in edges)
     return SignedGraph(header_n, frozenset(edges))
 
 

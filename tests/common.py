@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from sglap import GeneratorConfig, GraphFormatError, SignedGraph, generate
+from sglap import BalanceInfo, GeneratorConfig, GraphFormatError, SignedGraph, generate
 
 # Small named graphs.  Naming: K/P/STAR + size + signature (P all-positive,
 # N all-negative, M mixed).
@@ -168,6 +168,42 @@ def oracle_switching_equivalent(g1: SignedGraph, g2: SignedGraph):
                 elif theta[v] != p * theta[u]:
                     return False, None
     return True, tuple(theta[1:])
+
+
+def oracle_balance_info(g: SignedGraph) -> BalanceInfo:
+    """``balance_info`` by the search the package used before it read edge
+    arrays: ascending ``(neighbor, sign)`` lists built from ``sorted(g.edges)``,
+    then a breadth-first search from each smallest unlabelled vertex, with
+    theta = +1 there.  A newly reached vertex v gets sign(uv) * theta(u); any
+    other edge whose sign is not theta(u) * theta(v) marks its component
+    unbalanced."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for i, j, s in sorted(g.edges):
+        nbrs[i].append((j, s))
+        nbrs[j].append((i, s))
+    labels = [-1] * (g.n + 1)
+    theta = [1] * (g.n + 1)
+    balanced: list[bool] = []
+    for root in range(1, g.n + 1):
+        if labels[root] >= 0:
+            continue
+        comp = len(balanced)
+        labels[root] = comp
+        ok = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, s in nbrs[u]:
+                if labels[v] < 0:
+                    labels[v] = comp
+                    theta[v] = s * theta[u]
+                    queue.append(v)
+                elif theta[v] != s * theta[u]:
+                    ok = False
+        balanced.append(ok)
+    return BalanceInfo(component_count=len(balanced), balanced_count=sum(balanced),
+                       component_labels=tuple(labels[1:]), component_balanced=tuple(balanced),
+                       certificate=tuple(theta[1:]))
 
 
 def oracle_laplacian(g: SignedGraph) -> np.ndarray:

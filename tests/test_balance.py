@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from common import (
     EMPTY3,
+    K1,
     K2N,
     K2P,
     K3M,
@@ -16,6 +17,7 @@ from common import (
     P3P,
     laplacian_parts,
     one_sign_subgraph,
+    oracle_balance_info,
     oracle_bipartite_components,
     oracle_components,
     oracle_eigs,
@@ -24,6 +26,7 @@ from common import (
     random_graphs,
 )
 from sglap import (
+    BalanceInfo,
     SignedGraph,
     balance_info,
     eigenvalues,
@@ -284,6 +287,41 @@ class TestSwitchingEquivalentMatchesReference:
         for h in partners:
             self._check(g, h, rng)
         assert [oracle_switching_equivalent(g, h)[0] for h in partners] == [True, False, False]
+
+
+class TestBalanceInfoMatchesReference:
+    """``balance_info`` against the search it used before reading edge
+    arrays, frozen as ``oracle_balance_info``: all five fields, certificates
+    on unbalanced components included, on graphs built directly, on graphs
+    parsed from shuffled serializer text (edge arrays from the parser's
+    sort) and on fresh copies of those (edge arrays computed on demand)."""
+
+    def _check(self, g: SignedGraph, rng: random.Random) -> BalanceInfo:
+        want = oracle_balance_info(g)
+        assert balance_info(g) == want
+        parsed = parse_signed_graph(_shuffled_text(g, rng))
+        assert edge_arrays.__wrapped__ in parsed._memo
+        assert balance_info(parsed) == want
+        twin = SignedGraph(parsed.n, frozenset(parsed.edges))
+        assert edge_arrays.__wrapped__ not in twin._memo
+        assert balance_info(twin) == want
+        return want
+
+    def test_seeded_corpus(self):
+        rng = random.Random(4_242)
+        graphs = random_graphs(300, base_seed=9_100, n_min=1, n_max=16, prob_lo=0.05)
+        graphs += [K1, EMPTY3, K3N, K3P_K3N,
+                   SignedGraph.from_edges(9, [(2, 5, -1), (5, 7, -1), (2, 7, -1), (3, 8, 1),
+                                              (6, 9, 1), (1, 6, -1)])]
+        infos = [self._check(g, rng) for g in graphs]
+        assert any(info.component_count > 1 for info in infos)
+        assert any(info.balanced_count == 0 for info in infos)
+        assert any(0 < info.balanced_count < info.component_count for info in infos)
+
+    @given(signed_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, g, rng):
+        self._check(g, rng)
 
 
 class TestInducedSubgraphs:

@@ -182,6 +182,24 @@ class TestSwitchCheckCommand:
         assert "theta:" not in out
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads like the same
+    file without it, with or without a header line."""
+
+    @pytest.mark.parametrize("text", ["n 3\n1 2 +\n2 3 -\n", "1 2 +\n2 3 -\n"])
+    @pytest.mark.parametrize("command", ["bounds", "spectrum", "switch-check"])
+    def test_same_output_as_plain_input(self, capsys, tmp_path, command, text):
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.sg"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            inputs = (["--a", str(path), "--b", str(path)] if command == "switch-check"
+                      else ["--input", str(path)])
+            outputs.append(run(capsys, [command, *inputs]))
+        assert outputs[0][0] == 0 and not outputs[0][2]
+        assert outputs[1] == outputs[0]
+
+
 class TestHostileSizes:
     def test_switch_check_on_huge_headers(self, capsys, tmp_path):
         paths = []

@@ -365,6 +365,58 @@ class TestParser:
         assert not any(gc.is_tracked(e) for e in g.edges)
 
 
+# One input per GraphFormatError message, with its line number and the
+# exact error text written out.
+_FORMAT_ERRORS = [
+    ("n 3 4\n1 2 +\n", 1, "line 1: malformed header, expected 'n <count>'"),
+    ("n\n", 1, "line 1: malformed header, expected 'n <count>'"),
+    ("# c\nn x\n", 2, "line 2: invalid vertex count 'x'"),
+    ("n 0\n1 2 +\n", 1, "line 1: vertex count must be positive"),
+    ("n -3\n", 1, "line 1: vertex count must be positive"),
+    ("n 1000001\n", 1, "line 1: vertex count 1000001 exceeds the limit 1000000"),
+    ("n 3\n1 2 +\n2 3\n", 3, "line 3: missing sign token"),
+    ("1 2 + +\n", 1, "line 1: expected '<i> <j> <sign>', got 4 fields"),
+    ("n 3\n\n 1 \n", 3, "line 3: expected '<i> <j> <sign>', got 1 fields"),
+    ("n 3\n1 b +\n", 2, "line 2: vertex indices must be integers"),
+    ("1.0 2 -\n", 1, "line 1: vertex indices must be integers"),
+    ("n 3\n1 2 *\n", 2, "line 2: invalid sign token '*'"),
+    ("1 2 ++\n", 1, "line 1: invalid sign token '++'"),
+    ("n 3\n1 2 +\n3 3 -\n", 3, "line 3: self-loop at vertex 3"),
+    ("2 0 +\n", 1, "line 1: vertex indices start at 1"),
+    ("n 3\n2 -1 -\n", 2, "line 2: vertex indices start at 1"),
+    ("n 3\n4 1 +\n", 2, "line 2: vertex index 4 exceeds declared count 3"),
+    ("n 4\n1 2 +\n# c\n2 1 -\n", 4, "line 4: duplicate edge 1 2 (first on line 2)"),
+    ("1 2 +\n1000001 2 -\n", 2, "line 2: vertex index 1000001 exceeds the limit 1000000"),
+    ("", 1, "line 1: empty input: need a header line or at least one edge"),
+    ("# c\n\n  \n", 1, "line 1: empty input: need a header line or at least one edge"),
+    # Only the first content line can be the header; an "n" line after it
+    # is an edge line.
+    ("1 2 +\nn 3\n", 2, "line 2: missing sign token"),
+    ("1 2 +\nn 3 +\n", 2, "line 2: vertex indices must be integers"),
+    ("n 3\nn 3\n", 2, "line 2: missing sign token"),
+    # \r, \x85 and U+2028 each end a line.
+    ("n 3\r1 2 +\r2 1 -\r", 3, "line 3: duplicate edge 1 2 (first on line 2)"),
+    ("n 3\x851 2 +\x852 1 -\x85", 3, "line 3: duplicate edge 1 2 (first on line 2)"),
+    ("\N{LINE SEPARATOR}".join(("n 3", "1 2 +", "2 1 -")), 3,
+     "line 3: duplicate edge 1 2 (first on line 2)"),
+    ("n 3\r\n1 2 +\x85\N{LINE SEPARATOR}\r2 4 -\n", 5,
+     "line 5: vertex index 4 exceeds declared count 3"),
+]
+
+
+class TestLineReaderErrors:
+    @pytest.mark.parametrize("text,line_no,message", _FORMAT_ERRORS)
+    def test_exact_error(self, text, line_no, message):
+        with pytest.raises(GraphFormatError) as got:
+            parse_signed_graph(text)
+        assert (str(got.value), got.value.line_no) == (message, line_no)
+
+    @pytest.mark.parametrize("text", ["# a path\n\nn 4\n1 4 +\n", "\n  # c\n\t\nn 4\n1 4 +",
+                                      "n 4\x851 4 +", "\N{LINE SEPARATOR}n 4\r1 4 +"])
+    def test_header_after_comments_and_blank_lines(self, text):
+        assert parse_signed_graph(text) == SignedGraph(4, frozenset({(1, 4, 1)}))
+
+
 class TestSerializer:
     def test_single_negative_edge(self):
         assert serialize_signed_graph(K2N) == "n 2\n1 2 -\n"
