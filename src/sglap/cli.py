@@ -9,6 +9,7 @@ one machine, and at the default 3 decimals across machines.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -89,6 +90,9 @@ def _cmd_switch_check(args, tol: float) -> int:
     return 0
 
 
+# Built on the first call, not at import: each call of main reuses it, and
+# importing the module stays cheap.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sglap",

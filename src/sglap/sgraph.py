@@ -2,7 +2,9 @@
 
 Vertices are numbered 1..n.  An edge is a plain ``(i, j, sign)`` tuple
 with i < j and sign +1 or -1, and a graph's frozenset of them defines it;
-graphs are simple (no loops, no parallel edges).  All types are immutable
+graphs are simple (no loops, no parallel edges).  A graph parsed from text
+in the serializer's form holds its edges as :func:`edge_arrays` and builds
+that frozenset the first time it is read.  All types are immutable
 after construction; every operation here is a pure function.  Statistics
 of a graph are memoised on the graph object itself (see
 :func:`cached_on_graph`), so each is computed once per graph; one of them,
@@ -86,7 +88,10 @@ class SignedGraph:
     ``edges`` holds plain ``(i, j, sign)`` tuples with ``i < j``; it defines
     the graph, and :func:`edge_arrays` holds the same edges sorted by pair.
     Construct directly with an already-normalized frozenset, or use
-    :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.
+    :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.  The
+    parser builds a graph from its edge arrays alone; such a graph builds
+    ``edges`` from them the first time it is read, and is otherwise the
+    same as one built from the set.
     ``_memo`` holds the statistics computed on this instance; it takes no
     part in construction, equality, hashing or repr.
     """
@@ -101,6 +106,20 @@ class SignedGraph:
         # the int it stands for, so it would pass every other check.
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        if "edges" not in self.__dict__:
+            # Built from edge arrays: the loop's checks, vectorized, and the
+            # arrays' own form, int64 and strictly ascending by (i, j).
+            i, j, sign = self._memo[edge_arrays.__wrapped__]
+            if not i.dtype == j.dtype == sign.dtype == np.int64:
+                raise ValueError("edge arrays must be int64, not "
+                                 f"{i.dtype}, {j.dtype}, {sign.dtype}")
+            if ((i < 1) | (j <= i) | (j > n)).any():
+                raise ValueError(f"edge out of range for n={n} (need 1 <= i < j <= n)")
+            if ((sign != 1) & (sign != -1)).any():
+                raise ValueError("edge sign other than +1 or -1")
+            if ((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))).any():
+                raise ValueError("edge pairs must be distinct and ascend by (i, j)")
+            return
         edges = self.edges
         repeated = set()
         for e in edges:
@@ -117,6 +136,28 @@ class SignedGraph:
                 if (i, j) in repeated:
                     raise ValueError(f"duplicate edge between {i} and {j}")
                 repeated.add((i, j))
+
+    @classmethod
+    def _from_edge_arrays(cls, n: int, i: np.ndarray, j: np.ndarray,
+                          sign: np.ndarray) -> "SignedGraph":
+        """The graph whose :func:`edge_arrays` are ``i``, ``j`` and ``sign``,
+        which must be read-only; it is checked like any other, and builds
+        ``edges`` from them on first read."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "_memo", {edge_arrays.__wrapped__: (i, j, sign)})
+        g.__post_init__()
+        return g
+
+    def __getattr__(self, name):
+        # Called only when ``name`` is not set: for ``edges``, on a graph
+        # built from arrays whose edge set nothing has read yet.
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        i, j, sign = self._memo[edge_arrays.__wrapped__]
+        edges = frozenset(zip(i.tolist(), j.tolist(), sign.tolist()))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
@@ -136,7 +177,8 @@ class SignedGraph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        edges = self.__dict__.get("edges")
+        return len(edges) if edges is not None else len(self._memo[edge_arrays.__wrapped__][0])
 
 
 def _read_only_columns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,7 +303,9 @@ def parse_signed_graph(text: str) -> SignedGraph:
 
     Format: an optional first line ``n <count>``; one edge per line as
     ``<i> <j> <sign>`` with sign one of ``+``, ``-``, ``+1``, ``-1``;
-    ``#`` starts a comment; blank lines are ignored; LF or CRLF endings.
+    ``#`` starts a comment; blank lines are ignored.  A line ends at every
+    boundary :meth:`str.splitlines` knows: ``\n``, ``\r\n``, ``\r``,
+    ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``, U+2028 and U+2029.
     Without a header the vertex count is the largest index seen.  Neither
     may exceed :data:`MAX_VERTICES`.
 
@@ -277,24 +321,26 @@ def parse_signed_graph(text: str) -> SignedGraph:
     """
     header = _SERIALIZED_HEADER.match(text)
     if header and not _NOT_SERIALIZED_LINE.search(text, header.end()):
-        g = _parse_serialized(text)
-        if g is not None:
-            return g
+        try:
+            return _parse_serialized(text)
+        except ValueError:
+            pass
     return _parse_lines(text)
 
 
-def _parse_serialized(text: str) -> SignedGraph | None:
-    """The graph of a text in the serializer's form, or None if the text
-    breaks a rule of the format (the line reader then names the error).
-
-    The graph is built by the checked constructor, from Python ints, and
-    leaves with its :func:`edge_arrays` already stored.
+def _parse_serialized(text: str) -> SignedGraph:
+    """The graph of a text in the serializer's form, held as its sorted
+    :func:`edge_arrays`; the checked constructor raises ``ValueError`` if
+    the text breaks a rule of the format (the line reader then names the
+    error).
     """
     # Signs become numbers and the header's "n" goes, so the text is one
     # flat run of integers: the vertex count, then three per edge.
     flat = np.fromstring(text[1:].replace("+", "1").replace("-", "-1"),
                          dtype=np.int64, sep=" ")
     n = int(flat[0])
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     rows = flat[1:].reshape(-1, 3)
     i, j = rows[:, 0], rows[:, 1]
     # Smaller index first (i and j are views, so they follow), then the rows
@@ -302,12 +348,7 @@ def _parse_serialized(text: str) -> SignedGraph | None:
     rows[:, 0], rows[:, 1] = np.minimum(i, j), np.maximum(i, j)
     i, j, sign = _read_only_columns(rows[np.argsort(i * (n + 1) + j)])
     del flat, rows
-    if (not 1 <= n <= MAX_VERTICES or (i == j).any() or (i < 1).any() or (j > n).any()
-            or ((i[1:] == i[:-1]) & (j[1:] == j[:-1])).any()):
-        return None
-    g = SignedGraph(n, frozenset(zip(i.tolist(), j.tolist(), sign.tolist())))
-    g._memo[edge_arrays.__wrapped__] = (i, j, sign)
-    return g
+    return SignedGraph._from_edge_arrays(n, i, j, sign)
 
 
 def _parse_lines(text: str) -> SignedGraph:

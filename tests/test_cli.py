@@ -1,8 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sglap
 from common import K3M, K3N, K3P, P3P
 from sglap import serialize_signed_graph
 from sglap.cli import main
@@ -198,6 +203,27 @@ class TestByteOrderMark:
             outputs.append(run(capsys, [command, *inputs]))
         assert outputs[0][0] == 0 and not outputs[0][2]
         assert outputs[1] == outputs[0]
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; a call that fails
+    in argument parsing leaves nothing behind for the next call."""
+
+    @pytest.mark.parametrize("bad", [["bounds", "--format", "xml", "--input", "k3m.sg"],
+                                     ["verify", "--n", "x"], ["switch-check", "--a"],
+                                     ["spectrum"], ["nope"], []])
+    def test_valid_call_after_usage_error_matches_a_fresh_process(self, capsys, graph_file,
+                                                                   bad):
+        argv = ["bounds", "--format", "csv", "--input", graph_file("k3m", K3M)]
+        with pytest.raises(SystemExit) as usage:
+            main(bad)
+        assert usage.value.code == 2
+        capsys.readouterr()
+        env = {**os.environ, "PYTHONPATH": str(Path(sglap.__file__).parents[1])}
+        fresh = subprocess.run([sys.executable, "-m", "sglap.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert run(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0 and fresh.stdout
 
 
 class TestHostileSizes:

@@ -13,10 +13,13 @@ from sglap import (
     GraphFormatError,
     SignedGraph,
     degree_profile,
+    eigenvalues,
     generate,
     laplacian,
     parse_signed_graph,
     serialize_signed_graph,
+    switch,
+    switching_equivalent,
     trace_moment,
     triangle_stats,
 )
@@ -158,6 +161,58 @@ def serialized_texts(draw):
     return text, array_form
 
 
+# Edge arrays for the array-form constructor: rows sorted by (i, j) on
+# vertices 1..n, with at most one planted defect.  The first group also
+# breaks the tuple constructor; a dtype or sort-order defect keeps the tuple
+# twin valid, so only the arrays' own checks can reject it.
+_TUPLE_DEFECTS = ("i = j", "i > j", "index 0", "j > n", "sign 0", "sign 2",
+                  "repeated pair", "n True", "n int64")
+_ARRAY_DEFECTS = ("repeated edge", "unsorted", "float", "bool")
+
+
+@st.composite
+def edge_array_cases(draw):
+    """(n, (i, j, sign), array_only): ``array_only`` says a defect only the
+    array form can see was planted."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    rows = sorted([i, j, draw(st.sampled_from((1, -1)))] for i, j in chosen)
+    defect = draw(st.sampled_from((None, None, None) + _TUPLE_DEFECTS + _ARRAY_DEFECTS))
+    if (defect in ("sign 0", "sign 2", "repeated pair", "repeated edge") and not rows
+            or defect == "i > j" and n < 2 or defect == "unsorted" and len(rows) < 2):
+        defect = None
+    vertex = st.integers(1, n)
+    if defect == "i = j":
+        v = draw(vertex)
+        rows.append([v, v, 1])
+    elif defect == "i > j":
+        i, j = draw(st.sampled_from(pairs))
+        rows.append([j, i, -1])
+    elif defect == "index 0":
+        rows.append([0, draw(vertex), 1])
+    elif defect == "j > n":
+        rows.append([draw(vertex), n + draw(st.integers(1, 3)), -1])
+    elif defect in ("sign 0", "sign 2"):
+        draw(st.sampled_from(rows))[2] = int(defect[-1])
+    elif defect in ("repeated pair", "repeated edge"):
+        i, j, sign = draw(st.sampled_from(rows))
+        rows.append([i, j, -sign if defect == "repeated pair" else sign])
+    rows.sort()
+    if defect == "unsorted":
+        a, b = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[a], rows[b] = rows[b], rows[a]
+    block = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    block.setflags(write=False)
+    columns = [block[:, 0], block[:, 1], block[:, 2]]
+    if defect in ("float", "bool"):
+        k = draw(st.integers(0, 2))
+        columns[k] = columns[k].astype(float if defect == "float" else bool)
+    if defect in ("n True", "n int64"):
+        n = True if defect == "n True" else np.int64(n)
+    return n, tuple(columns), defect in _ARRAY_DEFECTS
+
+
 class TestSignedGraph:
     def test_from_edges_normalizes_order(self):
         g = SignedGraph.from_edges(3, [(3, 1, -1)])
@@ -211,6 +266,35 @@ class TestSignedGraph:
             with pytest.raises(ValueError, match="has an entry that is not an int"):
                 SignedGraph.from_edges(6, [edge])
 
+    @given(edge_array_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_array_form_accepts_what_the_tuple_form_accepts(self, case):
+        n, (i, j, sign), array_only = case
+        edges = frozenset(zip(i.astype(np.int64).tolist(), j.astype(np.int64).tolist(),
+                              sign.astype(np.int64).tolist()))
+        try:
+            twin = SignedGraph(n, edges)
+        except ValueError:
+            twin = None
+        if twin is None or array_only:
+            with pytest.raises(ValueError):
+                SignedGraph._from_edge_arrays(n, i, j, sign)
+            return
+
+        def lazy():
+            g = SignedGraph._from_edge_arrays(n, i, j, sign)
+            assert "edges" not in g.__dict__
+            return g
+
+        # Each read on a graph whose edge set is still unbuilt.
+        assert lazy() == twin and twin == lazy()
+        assert hash(lazy()) == hash(twin)
+        assert repr(lazy()) == repr(twin)
+        g = lazy()
+        assert g.m == twin.m and "edges" not in g.__dict__
+        assert g.edges == twin.edges and g.edges is g.edges
+        assert all(type(x) is int for e in g.edges for x in e)
+
     def test_hashable_and_equal(self):
         g1 = SignedGraph.from_edges(3, [(1, 2, 1), (2, 3, -1)])
         g2 = SignedGraph.from_edges(3, [(3, 2, -1), (1, 2, 1)])
@@ -246,6 +330,18 @@ class TestParser:
 
     def test_crlf(self):
         assert parse_signed_graph("n 2\r\n1 2 -\r\n") == K2N
+
+    # The line ends parse_signed_graph's docstring and README list: every
+    # boundary str.splitlines knows.
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\N{LINE SEPARATOR}", "\N{PARAGRAPH SEPARATOR}"])
+    def test_line_ends(self, end):
+        text = end.join(("# c", "n 3", "1 2 +", "2 3 -", ""))
+        assert parse_signed_graph(text) == SignedGraph(3, frozenset({(1, 2, 1), (2, 3, -1)}))
+
+    def test_unit_separator_ends_no_line(self):
+        with pytest.raises(GraphFormatError, match="line 1: expected .*, got 6 fields"):
+            parse_signed_graph("1 2 +\x1f2 3 -")
 
     def test_missing_sign_token(self):
         with pytest.raises(GraphFormatError, match="line 2.*missing sign"):
@@ -348,20 +444,44 @@ class TestParser:
             parse_signed_graph(text + body[0])
 
 
+    def test_switch_check_and_spectrum_leave_the_edge_set_unbuilt(self):
+        g = generate(GeneratorConfig(n=80, edge_prob=0.1, neg_prob=0.5, seed=13))
+        theta = tuple(random.Random(13).choice((1, -1)) for _ in range(g.n))
+        g1, g2 = (parse_signed_graph(serialize_signed_graph(h)) for h in (g, switch(g, theta)))
+        assert switching_equivalent(g1, g2).equivalent
+        eigenvalues(laplacian(g1))
+        assert (g1.m, g2.m) == (g.m, g.m)
+        assert "edges" not in g1.__dict__ and "edges" not in g2.__dict__
+
+    @staticmethod
+    def _path_text():
+        lines = ["n 5000"]
+        for v in range(1, 5001):
+            for k in range(1, 6):
+                if v + k <= 5000:
+                    lines.append(f"{v} {v + k} {'-' if (v * k) % 3 == 0 else '+'}")
+        return "\n".join(lines)
+
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="tuple untracking is a CPython collector behaviour")
     def test_parsed_edges_leave_the_collector(self):
         # CPython's collector stops tracking an exact tuple of ints the first
         # time it examines it, so a large edge set costs later collections
         # nothing; it never does so for a tuple subclass.
-        lines = ["n 5000"]
-        for v in range(1, 5001):
-            for k in range(1, 6):
-                if v + k <= 5000:
-                    lines.append(f"{v} {v + k} {'-' if (v * k) % 3 == 0 else '+'}")
-        g = parse_signed_graph("\n".join(lines))
+        g = parse_signed_graph(self._path_text())
         gc.collect()
         assert g.m == 24_985
+        assert not any(gc.is_tracked(e) for e in g.edges)
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="tuple untracking is a CPython collector behaviour")
+    def test_edges_built_on_first_read_leave_the_collector(self):
+        # With a final newline the text is in the serializer's form, so the
+        # edge set is built when it is first read, after the parse.
+        g = parse_signed_graph(self._path_text() + "\n")
+        assert "edges" not in g.__dict__
+        assert len(g.edges) == 24_985
+        gc.collect()
         assert not any(gc.is_tracked(e) for e in g.edges)
 
 
