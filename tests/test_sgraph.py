@@ -443,7 +443,6 @@ class TestParser:
         with pytest.raises(GraphFormatError, match=f"line {len(lines) + 1}: duplicate edge"):
             parse_signed_graph(text + body[0])
 
-
     def test_switch_check_and_spectrum_leave_the_edge_set_unbuilt(self):
         g = generate(GeneratorConfig(n=80, edge_prob=0.1, neg_prob=0.5, seed=13))
         theta = tuple(random.Random(13).choice((1, -1)) for _ in range(g.n))
