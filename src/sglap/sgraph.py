@@ -44,12 +44,12 @@ MAX_VERTICES = 1_000_000
 
 # Text exactly as serialize_signed_graph writes it, up to the order of the
 # edge lines and of the two indices on a line: the header, then "i j sign"
-# lines, every number at most 7 ASCII digits.  The lines are checked by
-# searching for a line start that begins no such line and does not end the
-# text.  One match of a repeated group would do the same, but it keeps
-# state for every line it has matched: 86 MB for 500 000 lines.
+# lines, every number at most 7 ASCII digits.  The header is matched here;
+# the lines are checked by numpy over the text's bytes (_serialized_signs).
 _SERIALIZED_HEADER = re.compile(r"n [0-9]{1,7}\n")
-_NOT_SERIALIZED_LINE = re.compile(r"^(?![0-9]{1,7} [0-9]{1,7} [+-]\n|\Z)", re.MULTILINE)
+# The header's "n" and the signs as spaces, so a text in the serializer's
+# form reads as one flat run of integers: the vertex count, then two per edge.
+_NUMBERS_ONLY = bytes.maketrans(b"n+-", b"   ")
 
 
 class GraphFormatError(ValueError):
@@ -149,6 +149,13 @@ class SignedGraph:
         g.__post_init__()
         return g
 
+    def __reduce__(self):
+        # The edges alone, in the form the graph holds them: the memo's keys
+        # are functions pickle cannot name, and its values can be recomputed.
+        if "edges" in self.__dict__:
+            return type(self), (self.n, self.edges)
+        return _unpickle_edge_block, (self.n, np.column_stack(self._memo[edge_arrays.__wrapped__]))
+
     def __getattr__(self, name):
         # Called only when ``name`` is not set: for ``edges``, on a graph
         # built from arrays whose edge set nothing has read yet.
@@ -188,6 +195,13 @@ def _read_only_columns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     edges.setflags(write=False)
     rows = edges.reshape(-1, 3)
     return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
+def _unpickle_edge_block(n: int, edges: np.ndarray) -> SignedGraph:
+    """The array-built graph whose pickled edge arrays are the columns of
+    ``edges``, read from a copy: under pickle protocol 5 ``edges`` can view
+    a writeable buffer, through which the columns could be written."""
+    return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges.copy()))
 
 
 @cached_on_graph
@@ -319,35 +333,60 @@ def parse_signed_graph(text: str) -> SignedGraph:
             out of range, vertex count over the limit, or missing sign
             token, with the line number.
     """
-    header = _SERIALIZED_HEADER.match(text)
-    if header and not _NOT_SERIALIZED_LINE.search(text, header.end()):
+    form = _serialized_signs(text)
+    if form is not None:
         try:
-            return _parse_serialized(text)
+            return _parse_serialized(*form)
         except ValueError:
             pass
     return _parse_lines(text)
 
 
-def _parse_serialized(text: str) -> SignedGraph:
-    """The graph of a text in the serializer's form, held as its sorted
-    :func:`edge_arrays`; the checked constructor raises ``ValueError`` if
-    the text breaks a rule of the format (the line reader then names the
+def _serialized_signs(text: str) -> tuple[bytes, np.ndarray] | None:
+    """``text``'s ASCII bytes and each edge line's sign byte, in line order,
+    if ``text`` is in the serializer's form; otherwise None.
+
+    After the header, the bytes that are not ASCII digits must repeat
+    space, space, sign, newline, the body must end in that newline (or be
+    empty), and each of the two numbers a line starts with must have 1 to 7
+    digits.
+    """
+    header = _SERIALIZED_HEADER.match(text)
+    if header is None or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    body = np.frombuffer(raw, dtype=np.uint8)[header.end():]
+    cuts = np.flatnonzero((body < ord("0")) | (body > ord("9")))
+    if not raw.endswith(b"\n") or cuts.size % 4:
+        return None
+    space1, space2, sign_at, newline = cuts.reshape(-1, 4).T
+    signs = body[sign_at]
+    first = space1 - np.concatenate(([0], newline[:-1] + 1))
+    second = space2 - space1 - 1
+    ok = ((body[space1] == ord(" ")) & (body[space2] == ord(" "))
+          & ((signs == ord("+")) | (signs == ord("-"))) & (body[newline] == ord("\n"))
+          & (newline - space2 == 2)
+          & (first >= 1) & (first <= 7) & (second >= 1) & (second <= 7))
+    return (raw, signs) if ok.all() else None
+
+
+def _parse_serialized(raw: bytes, signs: np.ndarray) -> SignedGraph:
+    """The graph of the text :func:`_serialized_signs` accepted, held as its
+    sorted :func:`edge_arrays`; the checked constructor raises ``ValueError``
+    if the text breaks a rule of the format (the line reader then names the
     error).
     """
-    # Signs become numbers and the header's "n" goes, so the text is one
-    # flat run of integers: the vertex count, then three per edge.
-    flat = np.fromstring(text[1:].replace("+", "1").replace("-", "-1"),
-                         dtype=np.int64, sep=" ")
+    flat = np.fromstring(raw.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
     n = int(flat[0])
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-    rows = flat[1:].reshape(-1, 3)
-    i, j = rows[:, 0], rows[:, 1]
-    # Smaller index first (i and j are views, so they follow), then the rows
-    # sorted by (i, j) through one int64 key: n has at most 7 digits.
-    rows[:, 0], rows[:, 1] = np.minimum(i, j), np.maximum(i, j)
-    i, j, sign = _read_only_columns(rows[np.argsort(i * (n + 1) + j)])
-    del flat, rows
+    pairs = flat[1:].reshape(-1, 2)
+    # Smaller index first, then the edges sorted by (i, j) through one int64
+    # key: n has at most 7 digits.
+    i, j = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    sign = ord(",") - signs.astype(np.int64)  # "+" and "-" flank ","
+    del flat, pairs
+    i, j, sign = _read_only_columns(np.column_stack((i, j, sign))[np.argsort(i * (n + 1) + j)])
     return SignedGraph._from_edge_arrays(n, i, j, sign)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -106,6 +107,21 @@ def oracle_parse(text: str) -> SignedGraph:
             raise GraphFormatError(1, "empty input: need a header line or at least one edge")
         header_n = max_index
     return SignedGraph(header_n, frozenset(edges))
+
+
+_ORACLE_HEADER = re.compile(r"n [0-9]{1,7}\n")
+_ORACLE_NOT_EDGE_LINE = re.compile(r"^(?![0-9]{1,7} [0-9]{1,7} [+-]\n|\Z)", re.MULTILINE)
+
+
+def oracle_is_serialized(text: str) -> bool:
+    """Whether ``text`` is in the form ``serialize_signed_graph`` writes, up
+    to the order of the edge lines and of the two indices on a line, by the
+    regular expressions the parser used before its numpy check: a header
+    ``n N``, then ``i j +`` or ``i j -`` lines, each ending in a newline,
+    every number 1 to 7 ASCII digits.  The lines are checked by searching
+    for a line start that begins no such line and does not end the text."""
+    header = _ORACLE_HEADER.match(text)
+    return bool(header) and not _ORACLE_NOT_EDGE_LINE.search(text, header.end())
 
 
 def oracle_graph_error(n, edges) -> str | None:

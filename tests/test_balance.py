@@ -289,6 +289,85 @@ class TestSwitchingEquivalentMatchesReference:
         assert [oracle_switching_equivalent(g, h)[0] for h in partners] == [True, False, False]
 
 
+def _path(order):
+    return list(zip(order, order[1:]))
+
+
+def _binary_tree(n, rng):
+    """Node k > 1 hangs below a random earlier node with a free child slot."""
+    free, pairs = [1, 1], []
+    for k in range(2, n + 1):
+        parent = free.pop(rng.randrange(len(free)))
+        pairs.append((parent, k))
+        free += [k, k]
+    return pairs
+
+
+def _small_components():
+    """Triangles, 4-cycles, 3-vertex paths and single edges on vertices
+    1..840, a triangle first."""
+    pairs, v = [], 1
+    for size, closed in [(3, True), (4, True), (3, False), (2, False)] * 70:
+        ring = list(range(v, v + size))
+        pairs += _path(ring) + ([(ring[-1], ring[0])] if closed else [])
+        v += size
+    return pairs
+
+
+def _grid(side):
+    cells = [[r * side + c + 1 for c in range(side)] for r in range(side)]
+    return [pair for line in cells + list(zip(*cells)) for pair in _path(line)]
+
+
+# Shapes for the component search, (n, vertex pairs, how many of the
+# vertex numbers 1, 2, ... to shuffle): long paths and deep trees need the
+# most hook-and-shortcut rounds, and a star hooks every node onto its
+# centre's.  In the cyclic shapes the first pair lies on a cycle.
+_SHAPES = {
+    "path, sorted": lambda rng: (20_000, _path(range(1, 20_001)), 0),
+    "path, zigzag": lambda rng: (20_000, _path([v for k in range(1, 10_001)
+                                                for v in (k, 20_001 - k)]), 0),
+    "path, random": lambda rng: (20_000, _path(range(1, 20_001)), 20_000),
+    "cycle": lambda rng: (20_000, _path(range(1, 20_001)) + [(20_000, 1)], 20_000),
+    "star, largest centre": lambda rng: (20_000, [(v, 20_000) for v in range(1, 20_000)], 19_999),
+    "binary tree": lambda rng: (20_000, _binary_tree(20_000, rng), 20_000),
+    "grid": lambda rng: (19_881, _grid(141), 19_881),
+    "isolated and small": lambda rng: (20_000, _small_components(), 20_000),
+    "edgeless": lambda rng: (20_000, [], 20_000),
+    "one vertex": lambda rng: (1, [], 1),
+}
+_CYCLIC = ("cycle", "grid", "isolated and small")
+
+
+class TestSwitchingEquivalentShapes:
+    """``switching_equivalent`` against ``oracle_switching_equivalent`` on
+    shapes with long paths, deep trees, high degree and many components,
+    up to n = 20 000: a switching of each graph, and the same switching
+    with its first edge flipped, which breaks equivalence in the cyclic
+    shapes."""
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_matches_oracle(self, shape):
+        rng = random.Random(shape)
+        n, pairs, shuffled = _SHAPES[shape](rng)
+        names = rng.sample(range(1, shuffled + 1), shuffled) + list(range(shuffled + 1, n + 1))
+        edges = [(names[a - 1], names[b - 1], rng.choice((1, -1))) for a, b in pairs]
+        g = SignedGraph.from_edges(n, edges)
+        h = switch(g, tuple(rng.choice((1, -1)) for _ in range(n)))
+        partners = [h]
+        if edges:
+            i, j = sorted(edges[0][:2])
+            s = 1 if (i, j, 1) in h.edges else -1
+            partners.append(SignedGraph(n, (h.edges - {(i, j, s)}) | {(i, j, -s)}))
+        verdicts = []
+        for b in partners:
+            for x, y in ((g, b), (b, g)):
+                want = oracle_switching_equivalent(x, y)
+                assert switching_equivalent(x, y) == want
+                verdicts.append(want[0])
+        assert verdicts == [True, True] + [shape not in _CYCLIC] * 2 * bool(edges)
+
+
 class TestBalanceInfoMatchesReference:
     """``balance_info`` against the search it used before reading edge
     arrays, frozen as ``oracle_balance_info``: all five fields, certificates

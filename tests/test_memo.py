@@ -7,6 +7,7 @@ distinct graph, that repeated evaluation is bit-identical, and that graphs
 derived from another graph never see its memo.
 """
 
+import pickle
 import sys
 import threading
 
@@ -22,6 +23,8 @@ from sglap import (
     degree_profile,
     evaluate_all,
     laplacian,
+    parse_signed_graph,
+    serialize_signed_graph,
     sign_all,
     switch,
     triangle_stats,
@@ -105,6 +108,46 @@ class TestMemoMatchesFresh:
 
         monkeypatch.setattr(np, "fromiter", no_second_read)
         assert laplacian(g).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+
+
+class TestPickle:
+    """A graph pickles to an equal graph, whatever its memo holds: the
+    memo's keys are functions pickle cannot name, so only the edges travel,
+    and the copy is built through the checked constructor."""
+
+    @staticmethod
+    def _graphs():
+        built = random_graphs(6, base_seed=4_700, n_min=1, n_max=12) + [twin(K3P_K3N)]
+        # Parsed in the serializer's form (held as edge arrays), and in the
+        # line reader's form.
+        parsed = [parse_signed_graph(serialize_signed_graph(g)) for g in built]
+        lines = [parse_signed_graph("# c\n" + serialize_signed_graph(g)) for g in built]
+        return built + parsed + lines + [parse_signed_graph("n 4\n1 2 +\n3 2 -\n")]
+
+    @pytest.mark.parametrize("warmed", [False, True])
+    def test_round_trip(self, warmed, monkeypatch):
+        checked = []
+        check = SignedGraph.__post_init__
+        monkeypatch.setattr(SignedGraph, "__post_init__",
+                            lambda self: checked.append(self) or check(self))
+        for g in self._graphs():
+            if warmed:
+                warm(g)
+                evaluate_all(g)
+            array_built = "edges" not in g.__dict__
+            pickles = [pickle.dumps(g, protocol=protocol)
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            assert ("edges" not in g.__dict__) == array_built
+            for data in pickles:
+                checked.clear()
+                got = pickle.loads(data)
+                assert checked == [got]
+                assert ("edges" not in got.__dict__) == array_built
+                assert_stats_equal_fresh(got)
+                assert got == g and hash(got) == hash(g)
+                for column in edge_arrays(got):
+                    with pytest.raises(ValueError):
+                        column.setflags(write=True)
 
 
 class TestRepeatedEvaluation:

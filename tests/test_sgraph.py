@@ -4,10 +4,20 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import EMPTY3, K2N, K3M, K3N, P3P, oracle_graph_error, oracle_parse, oracle_triangles
+from common import (
+    EMPTY3,
+    K2N,
+    K3M,
+    K3N,
+    P3P,
+    oracle_graph_error,
+    oracle_is_serialized,
+    oracle_parse,
+    oracle_triangles,
+)
 from sglap import (
     GeneratorConfig,
     GraphFormatError,
@@ -23,7 +33,7 @@ from sglap import (
     trace_moment,
     triangle_stats,
 )
-from sglap.sgraph import edge_arrays
+from sglap.sgraph import _serialized_signs, edge_arrays
 
 
 @st.composite
@@ -482,6 +492,89 @@ class TestParser:
         assert len(g.edges) == 24_985
         gc.collect()
         assert not any(gc.is_tracked(e) for e in g.edges)
+
+
+# Texts near the serializer's form for the parser's form check, over the
+# alphabet of digits, space, signs, "\n", "\r", "\x85", "é" and "٣": a
+# header, then edge lines in the form with at most one part of one line
+# replaced (a number by 0 or 8 digits, a separator, sign or line end by
+# other characters); or a body drawn freely from the alphabet, or digits
+# only.  The body may lose its final newline.
+_FORM_ALPHABET = "0123456789 +-\n\r\x85é٣"
+_DIGITS = "0123456789"
+_NOT_A_PART = {
+    "space": ("+", "-", "\n", "", "  ", "é"),
+    "sign": (" ", "\n", "\r", "", "+-", "٣"),
+    "end": ("\r", "0\n", "+", "", "\r\n", "\x85"),
+}
+
+
+@st.composite
+def near_serialized_texts(draw):
+    def number(width):
+        return draw(st.text(_DIGITS, min_size=width, max_size=width))
+
+    header = draw(st.one_of(
+        st.builds("n {}\n".format, st.integers(1, 9_999_999)),
+        st.builds("n {}\n".format, st.text(_DIGITS, min_size=1, max_size=8)),
+        st.text(_FORM_ALPHABET, max_size=6)))
+    kind = draw(st.sampled_from(("lines", "lines", "lines", "free", "digits")))
+    if kind == "free":
+        body = draw(st.text(_FORM_ALPHABET, max_size=40))
+    elif kind == "digits":
+        body = draw(st.text(_DIGITS, max_size=9))
+    else:
+        lines = [[number(draw(st.integers(1, 7))), " ", number(draw(st.integers(1, 7))), " ",
+                  draw(st.sampled_from("+-")), "\n"] for _ in range(draw(st.integers(1, 5)))]
+        if draw(st.booleans()):
+            row, part = draw(st.sampled_from(lines)), draw(st.integers(0, 5))
+            if part in (0, 2):
+                row[part] = number(draw(st.sampled_from((0, 8))))
+            else:
+                row[part] = draw(st.sampled_from(
+                    _NOT_A_PART["sign" if part == 4 else "end" if part == 5 else "space"]))
+        body = "".join("".join(row) for row in lines)
+    if draw(st.booleans()) and body.endswith("\n"):
+        body = body[:-1]
+    return header + body
+
+
+class TestSerializedFormCheck:
+    """The parser's numpy form check against the regular expressions it
+    replaced, frozen as ``oracle_is_serialized``.  For each clause of the
+    check, one explicit example is rejected by that clause alone, so the
+    test fails if any clause is dropped."""
+
+    @given(near_serialized_texts())
+    @example("n 9\n")  # an empty body
+    @example("n 9\n1 2 +\n1234567 7654321 -\n")  # 7-digit numbers
+    @example("n 1234567\n0 00 -\n")
+    @example("n 12345678\n1 2 +\n")  # an 8-digit header
+    @example("n 9\n1 2 +\n3 4 -")  # no final newline
+    @example("n 9\n1 2 +\n34")  # digits after the final newline
+    @example("n 9\n123")  # digits only
+    @example("n 9\n12345678 2 +\n")  # 8 digits first
+    @example("n 9\n1 12345678 +\n")  # 8 digits second
+    @example("n 9\n 2 +\n")  # no first number
+    @example("n 9\n1  +\n")  # no second number
+    @example("n 9\n1+2 +\n")  # a sign for the first space
+    @example("n 9\n1 2++\n")  # a sign for the second space
+    @example("n 9\n1 2  \n")  # a space for the sign
+    @example("n 9\n1 2 +\r3 4 -\n")  # \r for a newline
+    @example("n 9\n1 2 3+\n")  # a third number before the sign
+    @example("n 9\n1 2 +\n\n")  # a blank line
+    @example("n 9\n1 2 +\x85")  # a non-ASCII line end
+    @example("n 9\n1 ٣ -\n")  # a non-ASCII digit
+    @example("n 9\né")
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_regular_expressions(self, text):
+        form = _serialized_signs(text)
+        assert (form is not None) == oracle_is_serialized(text)
+        if form is not None:
+            raw, signs = form
+            assert raw == text.encode("ascii")
+            lines = text.split("\n")[1:-1]
+            assert signs.tobytes() == "".join(line[-1] for line in lines).encode("ascii")
 
 
 # One input per GraphFormatError message, with its line number and the
