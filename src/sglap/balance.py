@@ -61,10 +61,9 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
         raise ValueError(f"switching function has length {len(th)}, graph has {g.n} vertices")
     if not set(th) <= {1, -1}:
         raise ValueError("switching values must be +1 or -1")
-    th = [int(t) for t in th]  # a numpy +1 would make numpy edge signs
-    return SignedGraph(
-        g.n, frozenset([(i, j, th[i - 1] * s * th[j - 1]) for i, j, s in g.edges])
-    )
+    i, j, sign = edge_arrays(g)
+    th = np.array(th, dtype=np.int64)
+    return g._resigned(th[i - 1] * sign * th[j - 1])
 
 
 @cached_on_graph
@@ -74,9 +73,7 @@ def balance_info(g: SignedGraph) -> BalanceInfo:
     Roots are taken in vertex order with theta = +1; a newly reached vertex
     gets theta(v) = sign(uv) * theta(u), and any other edge with sign !=
     theta(u) * theta(v) marks its component unbalanced.  Neighbor lists are
-    built from :func:`edge_arrays`, sorted by pair, so each ascends and the
-    certificate on an unbalanced component does not depend on the order
-    ``g.edges`` iterates in.
+    built from :func:`edge_arrays`, sorted by pair, so each ascends.
     """
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .balance import is_connected, laplacian_rank
-from .sgraph import SignedGraph, degree_profile
+from .sgraph import SignedGraph, degree_profile, edge_arrays
 from .spectra import eigenvalues, laplacian, power_traces, rayleigh_moment, sign_all
 
 __all__ = [
@@ -193,7 +193,7 @@ def ub_wang_edge(g: SignedGraph) -> BoundResult:
         return _na("UB-WANG-EDGE", UPPER, _NO_EDGE)
     prof = degree_profile(g)
     best = 0.0
-    for i, j, _ in g.edges:
+    for i, j, _ in zip(*(column.tolist() for column in edge_arrays(g))):
         di, dj = prof.d[i - 1], prof.d[j - 1]
         inner = di * prof.nds[i - 1] + dj * prof.nds[j - 1] - 2 * di * dj
         if inner < 0:
@@ -266,7 +266,7 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
     kb1 = 0.0
     kb2_rad = None
     kb4 = 0.0
-    for i, j, _ in g.edges:
+    for i, j, _ in zip(*(column.tolist() for column in edge_arrays(g))):
         di, dj = prof.d[i - 1], prof.d[j - 1]
         si, sj = nds[i - 1], nds[j - 1]
         kb1 = max(kb1, (di * di + si + dj * dj + sj) / (di + dj))

@@ -234,8 +234,8 @@ def format_value(v: float | None, full_precision: bool = False) -> str:
 
 
 def render_table(header, rows, fmt: str) -> str:
-    """Markdown (``fmt="md"``) or CSV (``fmt="csv"``) text of a table of
-    string cells, one LF-terminated line per row after the header."""
+    """Markdown (``fmt="md"``, each ``|`` in a cell escaped) or CSV (``fmt="csv"``)
+    text of a table of string cells, one LF-terminated line per row, header first."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -245,7 +245,8 @@ def render_table(header, rows, fmt: str) -> str:
     if fmt != "md":
         raise ValueError(f"format must be 'md' or 'csv', got {fmt!r}")
     lines = [header, ["---"] * len(header), *rows]
-    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
+    return "".join("| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |\n"
+                   for cells in lines)
 
 
 _VARIANTS = ("Σ", "(Γ,+1)", "(Γ,-1)")

@@ -1,14 +1,12 @@
 """Signed-graph data model, edge-list text format, and degree/triangle statistics.
 
 Vertices are numbered 1..n.  An edge is a plain ``(i, j, sign)`` tuple
-with i < j and sign +1 or -1, and a graph's frozenset of them defines it;
-graphs are simple (no loops, no parallel edges).  A graph parsed from text
-in the serializer's form holds its edges as :func:`edge_arrays` and builds
-that frozenset the first time it is read.  All types are immutable
-after construction; every operation here is a pure function.  Statistics
-of a graph are memoised on the graph object itself (see
-:func:`cached_on_graph`), so each is computed once per graph; one of them,
-:func:`edge_arrays`, is the same edges as int64 arrays sorted by pair.
+with i < j and sign +1 or -1; graphs are simple (no loops, no parallel
+edges).  Every graph holds its edges as :func:`edge_arrays`, int64 arrays
+sorted by pair, from construction on, and every statistic reads them.  All
+types are immutable after construction; every operation here is a pure
+function.  Statistics of a graph are memoised on the graph object itself
+(see :func:`cached_on_graph`), so each is computed once per graph.
 Triangles are counted combinatorially, from per-vertex neighbor bitmasks,
 never from a matrix, so ``spectra.power_traces`` checked against a matrix
 trace stays an independent check.
@@ -85,19 +83,18 @@ def cached_on_graph(fn):
 class SignedGraph:
     """A simple undirected graph on vertices 1..n with +1/-1 edge signs.
 
-    ``edges`` holds plain ``(i, j, sign)`` tuples with ``i < j``; it defines
-    the graph, and :func:`edge_arrays` holds the same edges sorted by pair.
-    Construct directly with an already-normalized frozenset, or use
-    :meth:`from_edges` to normalize arbitrary (i, j, sign) triples.  The
-    parser builds a graph from its edge arrays alone; such a graph builds
-    ``edges`` from them the first time it is read, and is otherwise the
-    same as one built from the set.
-    ``_memo`` holds the statistics computed on this instance; it takes no
-    part in construction, equality, hashing or repr.
+    ``edges``, a frozenset of ``(i, j, sign)`` tuples with ``i < j``,
+    defines equality, hashing and repr; ``_arrays`` holds the same edges as
+    :func:`edge_arrays`, read by everything else, and ``_memo`` the
+    statistics computed on this instance.  Construct directly with a
+    normalized frozenset, or use :meth:`from_edges`.  A graph built from
+    edge arrays alone (parsed, switched, re-signed or unpickled) builds
+    ``edges`` from them on first read.
     """
 
     n: int
     edges: frozenset[tuple[int, int, int]]
+    _arrays: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,7 +106,7 @@ class SignedGraph:
         if "edges" not in self.__dict__:
             # Built from edge arrays: the loop's checks, vectorized, and the
             # arrays' own form, int64 and strictly ascending by (i, j).
-            i, j, sign = self._memo[edge_arrays.__wrapped__]
+            i, j, sign = self._arrays
             if not i.dtype == j.dtype == sign.dtype == np.int64:
                 raise ValueError("edge arrays must be int64, not "
                                  f"{i.dtype}, {j.dtype}, {sign.dtype}")
@@ -136,6 +133,9 @@ class SignedGraph:
                 if (i, j) in repeated:
                     raise ValueError(f"duplicate edge between {i} and {j}")
                 repeated.add((i, j))
+        # Python's sort, not numpy's: it is the cheaper one at n = 10.
+        object.__setattr__(self, "_arrays", _read_only_columns(np.fromiter(
+            itertools.chain.from_iterable(sorted(edges)), dtype=np.int64, count=3 * len(edges))))
 
     @classmethod
     def _from_edge_arrays(cls, n: int, i: np.ndarray, j: np.ndarray,
@@ -145,24 +145,28 @@ class SignedGraph:
         ``edges`` from them on first read."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "_memo", {edge_arrays.__wrapped__: (i, j, sign)})
+        object.__setattr__(g, "_arrays", (i, j, sign))
+        object.__setattr__(g, "_memo", {})
         g.__post_init__()
         return g
 
+    def _resigned(self, sign: np.ndarray) -> "SignedGraph":
+        """This graph's pairs with ``sign``, an int64 array that owns its
+        data, made read-only: no view of it can be made writeable again."""
+        sign.setflags(write=False)
+        i, j, _ = self._arrays
+        return SignedGraph._from_edge_arrays(self.n, i, j, sign[:])
+
     def __reduce__(self):
-        # The edges alone, in the form the graph holds them: the memo's keys
-        # are functions pickle cannot name, and its values can be recomputed.
-        if "edges" in self.__dict__:
-            return type(self), (self.n, self.edges)
-        return _unpickle_edge_block, (self.n, np.column_stack(self._memo[edge_arrays.__wrapped__]))
+        # The edge arrays alone: pickle cannot name the memo's keys.
+        return _unpickle_edge_block, (self.n, np.column_stack(self._arrays))
 
     def __getattr__(self, name):
         # Called only when ``name`` is not set: for ``edges``, on a graph
         # built from arrays whose edge set nothing has read yet.
         if name != "edges":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        i, j, sign = self._memo[edge_arrays.__wrapped__]
-        edges = frozenset(zip(i.tolist(), j.tolist(), sign.tolist()))
+        edges = frozenset(zip(*(column.tolist() for column in self._arrays)))
         object.__setattr__(self, "edges", edges)
         return edges
 
@@ -184,8 +188,7 @@ class SignedGraph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        edges = self.__dict__.get("edges")
-        return len(edges) if edges is not None else len(self._memo[edge_arrays.__wrapped__][0])
+        return len(self._arrays[0])
 
 
 def _read_only_columns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,15 +207,10 @@ def _unpickle_edge_block(n: int, edges: np.ndarray) -> SignedGraph:
     return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges.copy()))
 
 
-@cached_on_graph
 def edge_arrays(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``g``'s edges as read-only int64 arrays ``(i, j, sign)`` sorted by
     (i, j), so two graphs on the same pairs have equal ``i`` and ``j``."""
-    # Python's sort of the tuples, not numpy's: at n = 10 it is the cheaper
-    # one, and graphs read in the serializer's form arrive with these arrays
-    # already stored by the parser.
-    return _read_only_columns(np.fromiter(itertools.chain.from_iterable(sorted(g.edges)),
-                                          dtype=np.int64, count=3 * g.m))
+    return g._arrays
 
 
 @dataclass(frozen=True)
@@ -255,21 +253,22 @@ class TriangleStats:
 @cached_on_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
+    ei, ej, es = (column.tolist() for column in edge_arrays(g))
     # Lists indexed by vertex number; slot 0 is unused.
     deg = [0] * (g.n + 1)
     neg = [0] * (g.n + 1)
-    for i, j, s in g.edges:
+    for i, j, s in zip(ei, ej, es):
         deg[i] += 1
         deg[j] += 1
         if s < 0:
             neg[i] += 1
             neg[j] += 1
     nbr_deg = [0] * (g.n + 1)
-    for i, j, _ in g.edges:
+    for i, j in zip(ei, ej):
         nbr_deg[i] += deg[j]
         nbr_deg[j] += deg[i]
     d = deg[1:]
-    edge_degs = [deg[i] + deg[j] - 2 for i, j, _ in g.edges]
+    edge_degs = [deg[i] + deg[j] - 2 for i, j in zip(ei, ej)]
     return DegreeProfile(
         d=tuple(d),
         d_neg=tuple(neg[1:]),
@@ -296,12 +295,13 @@ def triangle_stats(g: SignedGraph) -> TriangleStats:
     edge between its two smallest vertices.  Costs O(m * n / 64) word
     operations.
     """
+    ei, ej, es = (column.tolist() for column in edge_arrays(g))
     pos = [0] * (g.n + 1)
     neg = [0] * (g.n + 1)
-    for i, j, s in g.edges:
+    for i, j, s in zip(ei, ej, es):
         (pos if s > 0 else neg)[i] |= 1 << j
     t_pos = t_neg = 0
-    for i, j, s in g.edges:
+    for i, j, s in zip(ei, ej, es):
         pi, ni, pj, nj = pos[i], neg[i], pos[j], neg[j]
         same = ((pi & pj) | (ni & nj)).bit_count()
         opp = ((pi & nj) | (ni & pj)).bit_count()
@@ -451,6 +451,6 @@ def _parse_lines(text: str) -> SignedGraph:
 def serialize_signed_graph(g: SignedGraph) -> str:
     """Render ``g`` in the edge-list format; round-trips through the parser."""
     lines = [f"n {g.n}"]
-    for i, j, s in sorted(g.edges):
+    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
         lines.append(f"{i} {j} {'+' if s > 0 else '-'}")
     return "\n".join(lines) + "\n"

@@ -46,8 +46,7 @@ def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    sign = int(sign)  # a numpy -1 would make numpy edge signs
-    return SignedGraph(g.n, frozenset([(i, j, sign) for i, j, _ in g.edges]))
+    return g._resigned(np.full(g.m, sign, dtype=np.int64))
 
 
 def eigenvalues(m) -> tuple[float, ...]:
@@ -56,9 +55,11 @@ def eigenvalues(m) -> tuple[float, ...]:
     One ``numpy.linalg.eigvalsh`` call (LAPACK ``syevd``: tridiagonal
     reduction, then divide and conquer; Golub & Van Loan, *Matrix
     Computations*, ch. 8) on ``m`` as float64.  It reads one triangle only,
-    so input that is not square, is empty, or is not exactly symmetric (NaN
-    included) raises ``ValueError`` instead.
+    so input that is not square, is empty, is complex or is not exactly
+    symmetric (NaN included) raises ``ValueError`` instead.
     """
+    if np.iscomplexobj(m):
+        raise ValueError("matrix is complex; its imaginary part would be dropped")
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -115,5 +116,6 @@ def rayleigh_moment(g: SignedGraph, k: int) -> int:
         return 2 * sum(dn)
     if k == 2:
         return 4 * sum(x * x for x in dn)
-    cross = sum(s * dn[i - 1] * dn[j - 1] for i, j, s in g.edges)
+    cross = sum(s * dn[i - 1] * dn[j - 1]
+                for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))))
     return 4 * sum(d * x * x for d, x in zip(prof.d, dn)) - 8 * cross

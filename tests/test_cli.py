@@ -97,6 +97,19 @@ class TestReportCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_pipe_in_a_name_is_escaped_in_markdown_only(self, capsys, graph_file):
+        path = graph_file("a|b", P3P)
+        code, out, _ = run(capsys, ["report", "--inputs", path])
+        assert code == 0
+        header, _, *rows = out.splitlines()
+        assert len(rows) == 3
+        for row in rows:
+            assert row.startswith("| a\\|b | ")
+            assert row.replace("\\|", "").count("|") == header.count("|")
+        code, out, _ = run(capsys, ["report", "--inputs", path, "--format", "csv"])
+        assert code == 0
+        assert [r[0] for r in csv.reader(io.StringIO(out))][1:] == ["a|b"] * 3
+
 
 class TestVerifyCommand:
     def test_pass_run(self, capsys):

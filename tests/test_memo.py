@@ -1,7 +1,8 @@
 """Per-graph memoisation of the sign-blind statistics.
 
-``degree_profile``, ``triangle_stats``, ``balance_info``, ``laplacian``
-and ``edge_arrays`` are computed once per graph object.  These tests check
+``degree_profile``, ``triangle_stats``, ``balance_info`` and ``laplacian``
+are computed once per graph object, and ``edge_arrays`` is stored when the
+graph is built.  These tests check
 that a memoised value always equals a fresh computation on an equal but
 distinct graph, that repeated evaluation is bit-identical, and that graphs
 derived from another graph never see its memo.
@@ -97,17 +98,19 @@ class TestMemoMatchesFresh:
                 column.setflags(write=True)
 
     def test_laplacian_reads_the_stored_edge_arrays(self, monkeypatch):
-        # With K3N's arrays stored on a twin of K3M, the twin's Laplacian is
-        # K3N's: it is built from the stored arrays, and reading the edge set
-        # again (np.fromiter) would fail.
+        # Every graph stores its edge arrays when it is built, so the
+        # Laplacian neither reads a tuple-built graph's edge set again
+        # (np.fromiter would fail) nor builds a parsed graph's.
         g = twin(K3M)
-        g._memo[edge_arrays.__wrapped__] = edge_arrays(K3N)
+        parsed = parse_signed_graph(serialize_signed_graph(K3N))
 
         def no_second_read(*args, **kwargs):
             raise AssertionError("edge set read twice")
 
         monkeypatch.setattr(np, "fromiter", no_second_read)
-        assert laplacian(g).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert laplacian(g).tolist() == [[2, -1, 1], [-1, 2, -1], [1, -1, 2]]
+        assert laplacian(parsed).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert "edges" not in parsed.__dict__
 
 
 class TestPickle:
@@ -142,7 +145,8 @@ class TestPickle:
                 checked.clear()
                 got = pickle.loads(data)
                 assert checked == [got]
-                assert ("edges" not in got.__dict__) == array_built
+                # Every copy is built from its edge arrays alone.
+                assert "edges" not in got.__dict__
                 assert_stats_equal_fresh(got)
                 assert got == g and hash(got) == hash(g)
                 for column in edge_arrays(got):

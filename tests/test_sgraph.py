@@ -24,15 +24,19 @@ from sglap import (
     SignedGraph,
     degree_profile,
     eigenvalues,
+    evaluate_all,
     generate,
     laplacian,
     parse_signed_graph,
+    report,
     serialize_signed_graph,
+    sign_all,
     switch,
     switching_equivalent,
     trace_moment,
     triangle_stats,
 )
+from sglap import cli
 from sglap.sgraph import _serialized_signs, edge_arrays
 
 
@@ -422,10 +426,10 @@ class TestParser:
             assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
             return
         got = parse_signed_graph(text)
+        # Only the array path leaves the edge set to be built on first read.
+        assert ("edges" not in got.__dict__) == array_form
         assert got == want
         assert all(type(x) is int for e in got.edges for x in e)
-        # Only the array path stores the edge arrays while parsing.
-        assert (edge_arrays.__wrapped__ in got._memo) == array_form
         fresh = SignedGraph(got.n, frozenset(got.edges))
         for seeded, recomputed in zip(edge_arrays(got), edge_arrays(fresh)):
             assert seeded.dtype == recomputed.dtype == np.int64
@@ -444,8 +448,8 @@ class TestParser:
         monkeypatch.setattr(SignedGraph, "__post_init__",
                             lambda self: built.append(self) or check(self))
         got = parse_signed_graph(text)
+        assert "edges" not in got.__dict__
         assert got == g and built == [got]
-        assert edge_arrays.__wrapped__ in got._memo
         if platform.python_implementation() == "CPython":
             gc.collect()  # exact tuples of ints leave the collector, as on the line path
             assert not any(gc.is_tracked(e) for e in got.edges)
@@ -461,6 +465,52 @@ class TestParser:
         eigenvalues(laplacian(g1))
         assert (g1.m, g2.m) == (g.m, g.m)
         assert "edges" not in g1.__dict__ and "edges" not in g2.__dict__
+
+    def test_bounds_and_report_leave_the_edge_set_unbuilt(self, tmp_path, monkeypatch, capsys):
+        g = generate(GeneratorConfig(n=30, edge_prob=0.2, neg_prob=0.5, seed=17,
+                                     require_connected=True))
+        text = serialize_signed_graph(g)
+        g1, g2 = parse_signed_graph(text), parse_signed_graph(text)
+        assert all(r.applicable for r in evaluate_all(g1).results)
+        report([g2])
+        assert "edges" not in g1.__dict__ and "edges" not in g2.__dict__
+        # The same through the command line, on a file in the serializer's form.
+        path = tmp_path / "g.sg"
+        path.write_text(text, encoding="utf-8")
+        parsed = []
+        parse = cli.parse_signed_graph
+        monkeypatch.setattr(cli, "parse_signed_graph",
+                            lambda source: parsed.append(parse(source)) or parsed[-1])
+        assert cli.main(["bounds", "--input", str(path)]) == 0
+        assert cli.main(["report", "--inputs", str(path), str(path)]) == 0
+        assert "| g | Σ |" in capsys.readouterr().out
+        assert len(parsed) == 3
+        assert not any("edges" in h.__dict__ for h in parsed)
+
+    def test_switch_and_sign_all_build_from_the_edge_arrays(self):
+        rng = random.Random(19)
+        for n in (1, 2, 5, 12, 40):
+            for p in (0.0, 0.3, 0.9):
+                source = generate(GeneratorConfig(n=n, edge_prob=p, neg_prob=0.5, seed=n))
+                edges = sorted(source.edges)
+                parsed = parse_signed_graph(serialize_signed_graph(source))
+                for g in (source, parsed):
+                    theta = tuple(rng.choice((1, -1)) for _ in range(n))
+                    derived = (
+                        (switch(g, theta), [(i, j, theta[i - 1] * s * theta[j - 1])
+                                            for i, j, s in edges]),
+                        (sign_all(g, 1), [(i, j, 1) for i, j, _ in edges]),
+                        (sign_all(g, -1), [(i, j, -1) for i, j, _ in edges]),
+                    )
+                    for h, want_edges in derived:
+                        assert h._memo == {} and "edges" not in h.__dict__
+                        twin = SignedGraph(n, frozenset(want_edges))
+                        for got, want in zip(edge_arrays(h), edge_arrays(twin), strict=True):
+                            assert got.dtype == np.int64 and np.array_equal(got, want)
+                            with pytest.raises(ValueError):
+                                got.setflags(write=True)
+                        assert h == twin and hash(h) == hash(twin) and repr(h) == repr(twin)
+                assert "edges" not in parsed.__dict__
 
     @staticmethod
     def _path_text():

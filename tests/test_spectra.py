@@ -88,6 +88,12 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalues([[float("nan"), 0.0], [0.0, 1.0]])
 
+    def test_rejects_complex(self):
+        # Hermitian with spectrum (-1, 1); its real part alone has (0, 0).
+        for m in (np.array([[0, 1j], [-1j, 0]]), [[0, 1j], [-1j, 0]], np.eye(2, dtype=complex)):
+            with pytest.raises(ValueError, match="complex"):
+                eigenvalues(m)
+
     def test_returns_ascending_python_floats(self):
         values = eigenvalues([[2, 1], [1, 2]])
         assert values == (1.0, 3.0)
