@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .sgraph import SignedGraph, cached_on_graph, edge_arrays
+from .sgraph import SignedGraph, _Union, cached_on_graph, edge_arrays
 
 __all__ = [
     "BalanceInfo",
@@ -117,6 +117,53 @@ def laplacian_rank(g: SignedGraph) -> int:
     return g.n - balance_info(g).balanced_count
 
 
+def _cover_labels(count: int, i: np.ndarray, j: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Component labels of the signed double cover of a graph on vertices
+    0..count-1 with edges (i, j), ``negative`` where an edge is negative.
+
+    Vertex v becomes nodes 2v (its + node) and 2v + 1 (its - node); a +
+    edge joins like nodes and a - edge unlike ones.  A component is
+    balanced iff no vertex has both nodes in one cover component.  Cover
+    components are labelled by hook-and-shortcut rounds, each a few numpy
+    passes over all cover edges at once, and each node gets the smallest
+    node of its component.  The rounds grow as log n: on paths, cycles,
+    stars, grids and trees with shuffled vertex numbers there were at most
+    14 at n = 10^4 and 20 at n = 10^6, both on a path.  Over a balanced
+    component with smallest vertex s the cover splits in two halves,
+    labelled 2s (the half holding s's + node) and 2s + 1; over an
+    unbalanced one both nodes of every vertex are labelled 2s.
+    """
+    # Each edge twice in the cover: from i's + node, and from its - node.
+    plus_i = (2 * i).astype(np.int32)
+    to_j = (2 * j).astype(np.int32)
+    to_j += negative  # a - edge joins i's + node to j's - node
+    src = np.concatenate((plus_i, plus_i + 1))
+    dst = np.concatenate((to_j, to_j ^ 1))
+    del plus_i, to_j
+    # label[x] is a node of x's cover component, never above x, so once
+    # every label is its own and each edge's ends share one, each node is
+    # labelled by the smallest node of its component.
+    label = np.arange(2 * count, dtype=np.int32)
+    while True:
+        at_src, at_dst = label[src], label[dst]
+        if (at_src == at_dst).all() and (label[label] == label).all():
+            return label
+        # Hook the larger label onto the smaller, then halve every path.
+        np.minimum.at(label, np.maximum(at_src, at_dst), np.minimum(at_src, at_dst))
+        label = label[label]
+
+
+def _balance_counts(u: _Union) -> tuple[np.ndarray, np.ndarray]:
+    """Component and balanced-component counts of every graph of ``u``,
+    read off the union's double cover (:func:`_cover_labels`): a vertex is
+    its component's smallest vertex s iff its smaller node label is 2s."""
+    label = _cover_labels(len(u.vgraph), u.i, u.j, u.sign < 0)
+    plus, minus = label[0::2], label[1::2]
+    root = np.minimum(plus, minus) >> 1 == np.arange(len(plus))
+    return (np.bincount(u.vgraph[root], minlength=len(u.n)),
+            np.bincount(u.vgraph[root & (plus != minus)], minlength=len(u.n)))
+
+
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     """Decide whether some vertex signing turns ``g1`` into ``g2``.
 
@@ -124,17 +171,10 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     the product signature (edgewise sign product) is balanced on every
     component.  Both graphs' :func:`edge_arrays` are sorted by pair, so
     comparing their index arrays compares the underlying graphs and
-    multiplying their sign arrays gives the product signature.  Balance is
-    read off its signed double cover: vertex v becomes nodes 2(v - 1) (its
-    + node) and 2(v - 1) + 1 (its - node), a + edge joins like nodes and a
-    - edge joins unlike ones, and a component is balanced iff no vertex has
-    both nodes in one cover component.  Cover components are labelled by
-    hook-and-shortcut rounds, each a few numpy passes over all cover edges
-    at once.  The rounds grow as log n: on paths, cycles, stars, grids and
-    trees with shuffled vertex numbers there were at most 14 at n = 10^4
-    and 20 at n = 10^6, both on a path.  The returned
-    witness satisfies switch(g1, witness) == g2 and is +1 at the smallest
-    vertex of each component.
+    multiplying their sign arrays gives the product signature, whose
+    balance is read off its double cover (:func:`_cover_labels`).  The
+    returned witness satisfies switch(g1, witness) == g2 and is +1 at the
+    smallest vertex of each component.
     """
     no = SwitchingVerdict(False, None)
     if g1.n != g2.n or g1.m != g2.m:
@@ -143,28 +183,10 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     i2, j2, s2 = edge_arrays(g2)
     if not (np.array_equal(i, i2) and np.array_equal(j, j2)):
         return no
-    # Each edge twice in the cover: from i's + node, and from its - node.
-    plus_i = (2 * i - 2).astype(np.int32)
-    to_j = (2 * j - 2).astype(np.int32)
-    to_j += s1 != s2  # a - edge joins i's + node to j's - node
-    src = np.concatenate((plus_i, plus_i + 1))
-    dst = np.concatenate((to_j, to_j ^ 1))
-    del plus_i, to_j
-    # label[x] is a node of x's cover component, never above x, so once
-    # every label is its own and each edge's ends share one, each node is
-    # labelled by the smallest node of its component.
-    label = np.arange(2 * g1.n, dtype=np.int32)
-    while True:
-        at_src, at_dst = label[src], label[dst]
-        if (at_src == at_dst).all() and (label[label] == label).all():
-            break
-        # Hook the larger label onto the smaller, then halve every path.
-        np.minimum.at(label, np.maximum(at_src, at_dst), np.minimum(at_src, at_dst))
-        label = label[label]
+    label = _cover_labels(g1.n, i - 1, j - 1, s1 != s2)
     plus, minus = label[0::2], label[1::2]
     if (plus == minus).any():
         return no
-    # Over a balanced component with smallest vertex s the cover splits in
-    # two, one half labelled by s's + node (even), the other by its - node
-    # (odd); theta(v) = +1 iff v's + node lies with s's.
+    # theta(v) = +1 iff v's + node lies in the half of its component's
+    # smallest vertex's + node, labelled by an even node.
     return SwitchingVerdict(True, tuple((1 - 2 * (plus & 1)).tolist()))

@@ -6,22 +6,26 @@ results carry a guard reason instead of a value.  The catalogs at the bottom
 list each bound id once; the ids are a compatibility surface used in CLI
 output and CSV headers.
 
-Degree sums are kept in exact integer arithmetic as long as possible so the
-values differ from their defining formulas only by the final float division,
-square root, or cube root.
+Each bound reads the statistics :func:`_batch_facts` computes for a whole
+batch of graphs in one pass; called on a graph, it reads that graph's
+batch of one.  Degree sums are kept in exact integer arithmetic as long as
+possible so the values differ from their defining formulas only by the
+final float division, square root, or cube root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .balance import is_connected, laplacian_rank
-from .sgraph import SignedGraph, degree_profile, edge_arrays
-from .spectra import eigenvalues, laplacian, power_traces, rayleigh_moment, sign_all
+from .balance import _balance_counts
+from .sgraph import (SignedGraph, _degree_stats, _exact_dtype, _segments, _triangle_counts,
+                     _Union, cached_on_graph)
+from .spectra import _batch_spectra, _power_traces, sign_all
 
 __all__ = [
     "DEFAULT_TOL",
@@ -60,7 +64,7 @@ class InternalInconsistencyError(RuntimeError):
     """A quantity violated an identity the theory guarantees; indicates a bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """One bound evaluation: id, direction, and either a value or a guard reason."""
 
@@ -87,20 +91,80 @@ def _na(bound_id: str, direction: str, reason: str) -> BoundResult:
     return BoundResult(bound_id, direction, False, reason, None)
 
 
+class _Facts(SimpleNamespace):
+    """One graph's entries of :func:`_batch_facts`, as attributes."""
+
+
+def _facts(g) -> _Facts:
+    """The facts of ``g``: a graph's batch of one, memoised on it, or
+    ``g`` itself when a batch already computed them."""
+    return g if isinstance(g, _Facts) else _graph_facts(g)
+
+
+@cached_on_graph
+def _graph_facts(g: SignedGraph) -> _Facts:
+    return _batch_facts(_Union.of([g]))[0]
+
+
+def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> list[_Facts]:
+    """Everything the catalog reads, for every graph of the union ``u``.
+
+    Per graph: ``n``, ``m``, ``connected``, ``rank`` (n minus balanced
+    components), the :func:`~sglap.sgraph._degree_stats` sums, ``t_net``,
+    ``traces`` (:func:`~sglap.spectra.power_traces`), the
+    :func:`~sglap.spectra._batch_spectra` entries (``switched`` is passed
+    on), and the per-edge and per-vertex maxima of UB-WANG-EDGE and
+    KB-1..KB-4, with ``wang_bad`` and ``kb2_bad`` naming the first edge
+    whose inner term or radicand is negative, else None.  Each edge term is
+    computed as the scalar formula would, operation by operation, on exact
+    integers, so every value is bit-identical to it.
+    """
+    d, _, nds, facts = _degree_stats(u)
+    t_pos, t_neg = _triangle_counts(u)
+    components, balanced = _balance_counts(u)
+    n, m = u.n.tolist(), np.diff(u.eoff).tolist()
+    facts.update(n=n, m=m, connected=(components == 1).tolist(), rank=(u.n - balanced).tolist(),
+                 t_net=[p - q for p, q in zip(t_pos, t_neg)])
+    facts["traces"] = list(map(_power_traces, facts["s1"], facts["s2"], facts["s3"],
+                               facts["t_net"]))
+    di, dj, si, sj = d[u.i], d[u.j], nds[u.i], nds[u.j]
+    # d * nds <= max_deg^3 < 2^60; the UB-WANG-EDGE numerator, at most
+    # 4 max_deg^4, is divided as a float, so past 2^53 it is a Python int.
+    inner = di * si + dj * sj - 2 * di * dj
+    wide = _exact_dtype(4 * int(d.max()) ** 4, 2 ** 53)
+    rad = di * di + si - 4 * di + dj * dj + sj - 4 * dj + 4
+    facts["wang"], facts["kb1"], facts["kb4"] = _segments(np.maximum, np.stack((
+        (di + dj - 2).astype(wide) * inner / (di * dj).astype(wide),
+        (di * di + si + dj * dj + sj) / (di + dj),
+        # si * 1.0 * sj rounds the exact product once, as float(si * sj) does.
+        (di + dj + np.sqrt((di - dj) ** 2 + 4 * np.sqrt(si * 1.0 * sj))) / 2.0)), u.eoff)
+    facts["kb2"] = _segments(np.maximum, rad, u.eoff)
+    facts["kb3"] = np.maximum.reduceat(d + np.sqrt(nds), u.voff[:-1]).tolist()
+    facts["wang_bad"], facts["kb2_bad"] = [None] * len(n), [None] * len(n)
+    for e in np.flatnonzero(inner < 0)[::-1].tolist():  # the first edge of a graph wins
+        facts["wang_bad"][u.egraph[e]] = int(inner[e])
+    for e in np.flatnonzero(rad < 0)[::-1].tolist():
+        facts["kb2_bad"][u.egraph[e]] = (int(rad[e]), int(u.li[e]) + 1, int(u.lj[e]) + 1)
+    facts.update(_batch_spectra(u, switched))
+    return [_Facts(**dict(zip(facts, row))) for row in zip(*facts.values())]
+
+
 # -- sign-dependent lower bounds -------------------------------------------
 
 def lb_net_mean(g: SignedGraph) -> BoundResult:
     """LB-NET-1: (2/n) * sum of negative degrees, for connected graphs."""
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("LB-NET-1", LOWER, _NOT_CONNECTED)
-    return _value("LB-NET-1", LOWER, rayleigh_moment(g, 1) / g.n)
+    return _value("LB-NET-1", LOWER, f.net1 / f.n)
 
 
 def lb_net_sq(g: SignedGraph) -> BoundResult:
     """LB-NET-2: sqrt((4/n) * sum of squared negative degrees), connected graphs."""
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("LB-NET-2", LOWER, _NOT_CONNECTED)
-    return _value("LB-NET-2", LOWER, math.sqrt(rayleigh_moment(g, 2) / g.n))
+    return _value("LB-NET-2", LOWER, math.sqrt(f.net2 / f.n))
 
 
 def lb_net_cubic(g: SignedGraph) -> BoundResult:
@@ -109,12 +173,12 @@ def lb_net_cubic(g: SignedGraph) -> BoundResult:
     The inner moment is nonnegative because L^3 is positive semidefinite;
     a negative value is asserted as a bug, never clamped.
     """
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("LB-NET-3", LOWER, _NOT_CONNECTED)
-    n3 = rayleigh_moment(g, 3)
-    if n3 < 0:
-        raise InternalInconsistencyError(f"LB-NET-3: cubic moment {n3} < 0 on a PSD matrix")
-    return _value("LB-NET-3", LOWER, (n3 / g.n) ** (1.0 / 3.0))
+    if f.net3 < 0:
+        raise InternalInconsistencyError(f"LB-NET-3: cubic moment {f.net3} < 0 on a PSD matrix")
+    return _value("LB-NET-3", LOWER, (f.net3 / f.n) ** (1.0 / 3.0))
 
 
 # -- rank / trace bounds ----------------------------------------------------
@@ -131,11 +195,10 @@ def ub_rank_trace(g: SignedGraph) -> BoundResult:
     asserted as a bug, never clamped.  Needs at least one edge (which
     forces r >= 1).
     """
-    if g.m == 0:
+    f = _facts(g)
+    if f.m == 0:
         return _na("UB-RANK", UPPER, _NO_EDGE)
-    prof = degree_profile(g)
-    r = laplacian_rank(g)
-    s1, s2 = prof.s1, prof.s2
+    r, s1, s2 = f.rank, f.s1, f.s2
     radicand = (r - 1) * (r * (s1 + s2) - s1 * s1)
     if radicand < 0:
         raise InternalInconsistencyError(f"UB-RANK: radicand {radicand} < 0")
@@ -146,20 +209,22 @@ def lb_trace_sq(g: SignedGraph) -> BoundResult:
     """LB-TR-1: sqrt(|p1^2 - p2| / (r(r-1))) with p_k = tr(L^k), needs rank
     r = n - b >= 2.  The absolute value keeps the bound valid when the signed
     numerator goes negative."""
-    r = laplacian_rank(g)
+    f = _facts(g)
+    r = f.rank
     if r < 2:
         return _na("LB-TR-1", LOWER, "b > n-2")
-    p1, p2, _ = power_traces(g)
+    p1, p2, _ = f.traces
     return _value("LB-TR-1", LOWER, math.sqrt(abs(p1 * p1 - p2) / (r * (r - 1))))
 
 
 def lb_trace_cubic_a(g: SignedGraph) -> BoundResult:
     """LB-TR-2: cube root of |2 p3 - 3 p2 p1 + p1^3| / (r(r-1)(r-2)) with
     p_k = tr(L^k), needs rank r = n - b >= 3."""
-    r = laplacian_rank(g)
+    f = _facts(g)
+    r = f.rank
     if r < 3:
         return _na("LB-TR-2", LOWER, "b > n-3")
-    p1, p2, p3 = power_traces(g)
+    p1, p2, p3 = f.traces
     num = abs(2 * p3 - 3 * p2 * p1 + p1 ** 3)
     return _value("LB-TR-2", LOWER, (num / (r * (r - 1) * (r - 2))) ** (1.0 / 3.0))
 
@@ -170,10 +235,11 @@ def lb_trace_cubic_b(g: SignedGraph) -> BoundResult:
     needs; the stated balanced-component condition would make the bound
     near-vacuous.
     """
-    r = laplacian_rank(g)
+    f = _facts(g)
+    r = f.rank
     if r < 2:
         return _na("LB-TR-3", LOWER, "rank n-b < 2")
-    p1, p2, p3 = power_traces(g)
+    p1, p2, p3 = f.traces
     return _value("LB-TR-3", LOWER, (abs(p1 * p2 - p3) / (r * (r - 1))) ** (1.0 / 3.0))
 
 
@@ -187,19 +253,14 @@ def ub_wang_edge(g: SignedGraph) -> BoundResult:
     where d^2 * m is computed as degree times neighbor-degree sum (an exact
     integer).  Needs a connected graph with an edge.
     """
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("UB-WANG-EDGE", UPPER, _NOT_CONNECTED)
-    if g.m == 0:
+    if f.m == 0:
         return _na("UB-WANG-EDGE", UPPER, _NO_EDGE)
-    prof = degree_profile(g)
-    best = 0.0
-    for i, j, _ in zip(*(column.tolist() for column in edge_arrays(g))):
-        di, dj = prof.d[i - 1], prof.d[j - 1]
-        inner = di * prof.nds[i - 1] + dj * prof.nds[j - 1] - 2 * di * dj
-        if inner < 0:
-            raise InternalInconsistencyError(f"UB-WANG-EDGE: inner term {inner} < 0")
-        best = max(best, (di + dj - 2) * inner / (di * dj))
-    return _value("UB-WANG-EDGE", UPPER, 2.0 + math.sqrt(best))
+    if f.wang_bad is not None:
+        raise InternalInconsistencyError(f"UB-WANG-EDGE: inner term {f.wang_bad} < 0")
+    return _value("UB-WANG-EDGE", UPPER, 2.0 + math.sqrt(f.wang))
 
 
 def ub_wang_global(g: SignedGraph) -> BoundResult:
@@ -208,13 +269,13 @@ def ub_wang_global(g: SignedGraph) -> BoundResult:
     edmin/edmax are the extremes of d_i + d_j - 2 over edges.  Needs a
     connected graph of order more than 2.
     """
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("UB-WANG-GLOBAL", UPPER, _NOT_CONNECTED)
-    if g.n <= 2:
+    if f.n <= 2:
         return _na("UB-WANG-GLOBAL", UPPER, "order n <= 2")
-    prof = degree_profile(g)
-    dmin, dmax = prof.edge_deg_min, prof.edge_deg_max
-    radicand = prof.s2 - 2 * g.m - (g.m - 1) * dmin + (dmin - 1) * dmax
+    dmin, dmax = f.edge_deg_min, f.edge_deg_max
+    radicand = f.s2 - 2 * f.m - (f.m - 1) * dmin + (dmin - 1) * dmax
     if radicand < 0:
         raise InternalInconsistencyError(f"UB-WANG-GLOBAL: radicand {radicand} < 0")
     return _value("UB-WANG-GLOBAL", UPPER, 2.0 + math.sqrt(radicand))
@@ -227,25 +288,17 @@ def ub_all_negative(g: SignedGraph) -> BoundResult:
     Tight exactly when the graph is switching equivalent to its all-negative
     signing.  Needs a connected graph.
     """
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return _na("UB-ALLNEG", UPPER, _NOT_CONNECTED)
-    return _value("UB-ALLNEG", UPPER, eigenvalues(np.abs(laplacian(g)))[-1])
+    return _value("UB-ALLNEG", UPPER, f.top_abs)
 
 
 def lb_interlacing(g: SignedGraph) -> BoundResult:
-    """LB-INTERLACE: larger spectral radius of the two one-sign subgraphs.
-
-    L(g) = L+ + L-, as a Laplacian is additive over edge-disjoint spanning
-    subgraphs; L+ keeps the negative entries of L(g), one per positive edge,
-    with their row counts on its diagonal.  Both are built in one array.
-    """
-    lap = laplacian(g)
-    part = np.minimum(lap, 0)
-    np.fill_diagonal(part, -part.sum(axis=1))
-    pos = eigenvalues(part)[-1]
-    np.subtract(lap, part, out=part)
-    neg = eigenvalues(part)[-1]
-    return _value("LB-INTERLACE", LOWER, max(pos, neg))
+    """LB-INTERLACE: larger spectral radius of the two one-sign subgraphs,
+    whose Laplacians L+ and L- = L(g) - L+ are read off L(g)."""
+    f = _facts(g)
+    return _value("LB-INTERLACE", LOWER, max(f.top_pos, f.top_neg))
 
 
 # -- previously known sign-independent bounds --------------------------------
@@ -255,33 +308,26 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
 
     All five depend only on degrees and average 2-degrees; products like
     d_i * m_i are evaluated as neighbor-degree sums to stay in integers.
+    KB-1, KB-2 and KB-4 are maxima over edges ij of
+        (d_i^2 + nds_i + d_j^2 + nds_j) / (d_i + d_j),
+        2 + sqrt(d_i^2 + nds_i - 4 d_i + d_j^2 + nds_j - 4 d_j + 4),
+        (d_i + d_j + sqrt((d_i - d_j)^2 + 4 sqrt(nds_i nds_j))) / 2,
+    KB-3 the maximum over vertices of d + sqrt(nds), and KB-5 max_deg + 1.
     """
     ids = (("KB-1", UPPER), ("KB-2", UPPER), ("KB-3", UPPER), ("KB-4", UPPER), ("KB-5", LOWER))
-    if not is_connected(g):
+    f = _facts(g)
+    if not f.connected:
         return tuple(_na(b, d, _NOT_CONNECTED) for b, d in ids)
-    if g.m == 0:
+    if f.m == 0:
         return tuple(_na(b, d, _NO_EDGE) for b, d in ids)
-    prof = degree_profile(g)
-    nds = prof.nds
-    kb1 = 0.0
-    kb2_rad = None
-    kb4 = 0.0
-    for i, j, _ in zip(*(column.tolist() for column in edge_arrays(g))):
-        di, dj = prof.d[i - 1], prof.d[j - 1]
-        si, sj = nds[i - 1], nds[j - 1]
-        kb1 = max(kb1, (di * di + si + dj * dj + sj) / (di + dj))
-        rad = di * di + si - 4 * di + dj * dj + sj - 4 * dj + 4
-        if rad < 0:
-            raise InternalInconsistencyError(f"KB-2: radicand {rad} < 0 on edge {i},{j}")
-        kb2_rad = rad if kb2_rad is None else max(kb2_rad, rad)
-        kb4 = max(kb4, (di + dj + math.sqrt((di - dj) ** 2 + 4 * math.sqrt(si * sj))) / 2.0)
-    kb3 = max(d + math.sqrt(s) for d, s in zip(prof.d, nds))
+    if f.kb2_bad is not None:
+        raise InternalInconsistencyError("KB-2: radicand {} < 0 on edge {},{}".format(*f.kb2_bad))
     return (
-        _value("KB-1", UPPER, kb1),
-        _value("KB-2", UPPER, 2.0 + math.sqrt(kb2_rad)),
-        _value("KB-3", UPPER, kb3),
-        _value("KB-4", UPPER, kb4),
-        _value("KB-5", LOWER, prof.max_deg + 1.0),
+        _value("KB-1", UPPER, f.kb1),
+        _value("KB-2", UPPER, 2.0 + math.sqrt(f.kb2)),
+        _value("KB-3", UPPER, f.kb3),
+        _value("KB-4", UPPER, f.kb4),
+        _value("KB-5", LOWER, f.max_deg + 1.0),
     )
 
 
@@ -344,31 +390,37 @@ def sandwich_violations(
 def evaluate_all(g: SignedGraph, tol: float = DEFAULT_TOL, check: bool = True) -> BoundEvaluation:
     """Evaluate the whole signed bound catalog plus the exact spectral radius.
 
-    With ``check`` on (the default), a sandwich violation raises
+    ``g`` is evaluated as a batch of one (:func:`_batch_facts`).  With
+    ``check`` on (the default), a sandwich violation raises
     InternalInconsistencyError since the theory rules it out; pass
     check=False to collect violations as data instead.
     """
-    results = (
-        lb_net_mean(g),
-        lb_net_sq(g),
-        lb_net_cubic(g),
-        ub_wang_edge(g),
-        ub_wang_global(g),
-        ub_rank_trace(g),
-        lb_trace_sq(g),
-        lb_trace_cubic_a(g),
-        lb_trace_cubic_b(g),
-        ub_all_negative(g),
-        lb_interlacing(g),
-        *classic_bounds(g),
-    )
-    spectrum = eigenvalues(laplacian(g))
+    ev = _evaluation(_facts(g))
     if check:
-        bad = sandwich_violations(results, spectrum[-1], tol)
+        bad = sandwich_violations(ev.results, ev.lambda_max, tol)
         if bad:
             detail = "; ".join(f"{r.bound_id}={r.value!r} off by {mag:.3e}" for r, mag in bad)
             raise InternalInconsistencyError(f"bound sandwich violated: {detail}")
-    return BoundEvaluation(results=results, spectrum=spectrum)
+    return ev
+
+
+def _evaluation(f: _Facts) -> BoundEvaluation:
+    """The catalog on one graph's facts, in ``SIGNED_CATALOG`` order."""
+    results = (
+        lb_net_mean(f),
+        lb_net_sq(f),
+        lb_net_cubic(f),
+        ub_wang_edge(f),
+        ub_wang_global(f),
+        ub_rank_trace(f),
+        lb_trace_sq(f),
+        lb_trace_cubic_a(f),
+        lb_trace_cubic_b(f),
+        ub_all_negative(f),
+        lb_interlacing(f),
+        *classic_bounds(f),
+    )
+    return BoundEvaluation(results=results, spectrum=f.spectrum)
 
 
 # Signed-catalog ids in evaluation order, which is also the report's column

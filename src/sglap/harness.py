@@ -2,25 +2,29 @@
 
 The generator is built on splitmix64 so that a (config, seed) pair pins the
 exact graph across platforms and implementations; the draw order is part of
-the contract and documented on :func:`generate`.
+the contract and documented on :func:`generate`.  ``verify`` generates,
+scores and solves its trials as batches (``sgraph._Union``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .balance import is_connected, laplacian_rank, switch
+import numpy as np
+
+from .balance import _balance_counts
 from .bounds import (
     DEFAULT_TOL,
     SIGNED_CATALOG,
     InternalInconsistencyError,
-    evaluate_all,
+    _batch_facts,
+    _evaluation,
     sandwich_violations,
 )
-from .sgraph import SignedGraph, serialize_signed_graph
-from .spectra import eigenvalues, laplacian, power_traces, sign_all, trace_moment
+from .sgraph import _BATCH_ELEMENTS, SignedGraph, _Union, serialize_signed_graph
+from .spectra import sign_all
 
 __all__ = [
     "SplitMix64",
@@ -110,22 +114,108 @@ def generate(cfg: GeneratorConfig) -> SignedGraph:
     below neg_prob.  With require_connected the scan repeats on the same
     stream until the sample is connected, up to CONNECTIVITY_CAP attempts.
 
+    splitmix64 is counter-based, its k-th state being seed + k * 0x9E3779B97F4A7C15
+    (mod 2^64), so the draws are computed as arrays: the stream position
+    after a run of r accepted draws that follows a rejected one (or a
+    scan's start) is a pair draw iff r is even.  ``verify`` generates all its
+    trials this way at once; ``generate`` is a batch of one.
+
     Raises:
         GenerationError: the connectivity cap was exhausted.
     """
-    rng = SplitMix64(cfg.seed)
+    return _generate(cfg, [cfg.seed]).graph(0)
+
+
+def _splitmix(seeds: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
+    """uint64 outputs ``start + 1`` to ``start + count`` of the splitmix64
+    stream of each of ``seeds`` (uint64), one row per stream, as
+    :class:`SplitMix64` draws them; ``start`` holds int64 positions."""
+    steps = start.astype(np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64)
+    z = seeds[:, None] + steps * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
+def _scan(cfg: GeneratorConfig, seeds: np.ndarray, start: np.ndarray):
+    """One scan of every vertex pair on each stream, from its position in
+    ``start``: ``(row, pair, negative)`` of the accepted pairs, by row then
+    pair (pairs numbered from 0 in scan order), and each stream's position
+    after its scan.  Streams advance in blocks of at most ``_BATCH_ELEMENTS``
+    draws in all."""
+    total = cfg.n * (cfg.n - 1) // 2
+    done, start = np.zeros(len(seeds), dtype=np.int64), start.copy()
+    found = []
+    while (active := np.flatnonzero(done < total)).size:
+        left = total - done[active]
+        width = int(min(2 * left.max(), max(2, _BATCH_ELEMENTS // active.size)))
+        # One draw past the block, so an accepted pair's sign draw is in it.
+        u = _uniforms(_splitmix(seeds[active], start[active], width + 1))
+        hit = u[:, :width] < cfg.edge_prob
+        at = np.arange(width)
+        last_miss = np.maximum.accumulate(np.where(hit, -1, at), axis=1)
+        before = np.concatenate((np.full((active.size, 1), -1), last_miss[:, :-1]), axis=1)
+        pair_draw = (at - before) % 2 == 1  # the block starts on a pair draw
+        rank = np.cumsum(pair_draw, axis=1)
+        take = pair_draw & (rank <= left[:, None])
+        r, p = np.nonzero(take & hit)
+        found.append((active[r], done[active][r] + rank[r, p] - 1, u[r, p + 1] < cfg.neg_prob))
+        last = width - 1 - np.argmax(take[:, ::-1], axis=1)
+        start[active] += last + 1 + hit[np.arange(active.size), last]
+        done[active] += take.sum(axis=1)
+    if not found:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, bool), start
+    return (*_by_row(found), start)
+
+
+def _by_row(parts) -> tuple[np.ndarray, ...]:
+    """The concatenated (row, pair, negative) arrays of ``parts``, each
+    sorted by row then pair, in that order."""
+    row, pair, negative = (np.concatenate(x) for x in zip(*parts))
+    if len(parts) > 1:
+        order = np.argsort(row, kind="stable")
+        row, pair, negative = row[order], pair[order], negative[order]
+    return row, pair, negative
+
+
+def _pairs_union(n: int, graphs: int, row, pair, negative) -> _Union:
+    """The union of ``graphs`` graphs of order n whose edges are the given
+    (row, pair number, negative) triples, sorted by row then pair."""
+    first = np.arange(n - 1)
+    starts = first * (2 * n - 1 - first) // 2  # pairs scanned before vertex first + 1's
+    i = np.searchsorted(starts, pair, side="right") - 1
+    j = pair - starts[i] + i + 1
+    return _Union(np.full(graphs, n), np.bincount(row, minlength=graphs), row * n + i,
+                  row * n + j, np.where(negative, -1, 1))
+
+
+def _generate(cfg: GeneratorConfig, seeds) -> _Union:
+    """The graphs ``generate(replace(cfg, seed=s))`` for each s in ``seeds``,
+    as one union: every attempt of every stream is drawn as one batch, and
+    the unconnected ones draw again from where their scan ended."""
+    streams = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    start = np.zeros(len(seeds), dtype=np.int64)
+    pending, kept = np.arange(len(seeds)), []
     attempts = CONNECTIVITY_CAP if cfg.require_connected else 1
     for _ in range(attempts):
-        edges = []
-        for i in range(1, cfg.n):
-            for j in range(i + 1, cfg.n + 1):
-                if rng.next_float() < cfg.edge_prob:
-                    sign = -1 if rng.next_float() < cfg.neg_prob else 1
-                    edges.append((i, j, sign))
-        g = SignedGraph(cfg.n, frozenset(edges))
-        if not cfg.require_connected or is_connected(g):
-            return g
-    raise GenerationError(attempts)
+        row, pair, negative, start[pending] = _scan(cfg, streams[pending], start[pending])
+        ok = np.ones(len(pending), dtype=bool)
+        if cfg.require_connected:
+            ok = np.bincount(row, minlength=len(pending)) >= cfg.n - 1  # fewer edges cannot connect
+            if ok.any():
+                ok &= _balance_counts(_pairs_union(cfg.n, len(pending), row, pair, negative))[0] == 1
+        keep = ok[row]
+        kept.append((pending[row[keep]], pair[keep], negative[keep]))
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    else:
+        raise GenerationError(attempts)
+    return _pairs_union(cfg.n, len(seeds), *_by_row(kept))
 
 
 @dataclass(frozen=True)
@@ -154,10 +244,6 @@ class VerificationReport:
         return not self.failures and not self.identity_failures
 
 
-def _random_switching(rng: SplitMix64, n: int) -> tuple[int, ...]:
-    return tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(n))
-
-
 def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Run every bound and identity check on ``trials`` random graphs.
 
@@ -167,6 +253,13 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     identities against exact matrix products; the rank identity (eigenvalue
     count above RANK_TOL equals n minus balanced components); and spectrum
     invariance under a random switching.  Failed checks are returned as data.
+
+    Trial k (from 0) takes the (2k+1)-th output of the splitmix64 stream
+    seeded with cfg.seed as its graph seed and the (2k+2)-th as its
+    switching seed; the switching is -1 at vertex v when the v-th uniform of
+    that seed's stream falls below 0.5.  The trials run as batches
+    (:func:`_generate`, ``bounds._batch_facts``), as many per batch as keep
+    its matrices within ``_BATCH_ELEMENTS`` entries.
 
     Raises:
         ValueError: ``trials`` is below 1; zero trials check nothing, so
@@ -178,47 +271,39 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         raise ValueError(f"trials must be at least 1, got {trials}")
     failures: list[Violation] = []
     identity: list[Violation] = []
-    seed_stream = SplitMix64(cfg.seed)
-    for trial in range(trials):
-        g_seed = seed_stream.next_u64()
-        th_seed = seed_stream.next_u64()
-        g = generate(replace(cfg, seed=g_seed))
-        # (check_id, value, reference, magnitude); the graph text is made
-        # only for a trial that has something to report.
-        bad: list[tuple[str, float, float, float]] = []
-        bad_identity: list[tuple[str, float, float, float]] = []
-
-        try:
-            ev = evaluate_all(g, tol=tol, check=False)
-        except InternalInconsistencyError as exc:
-            raise InternalInconsistencyError(f"trial={trial} seed={g_seed}: {exc}") from exc
-        lmax = ev.lambda_max
-        for res, magnitude in sandwich_violations(ev.results, lmax, tol):
-            bad.append((res.bound_id, res.value, lmax, magnitude))
-
-        lap = laplacian(g)
-        for k, want in enumerate(power_traces(g), start=1):
-            got = trace_moment(lap, k)
-            if got != want:
-                bad_identity.append((f"trace-{k}", float(got), float(want),
-                                     float(abs(got - want))))
-
-        num_rank = sum(1 for v in ev.spectrum if v > RANK_TOL)
-        want_rank = laplacian_rank(g)
-        if num_rank != want_rank:
-            bad_identity.append(("rank", float(num_rank), float(want_rank),
-                                 float(abs(num_rank - want_rank))))
-
-        th = _random_switching(SplitMix64(th_seed), g.n)
-        switched = eigenvalues(laplacian(switch(g, th)))
-        diff = max(abs(a - b) for a, b in zip(ev.spectrum, switched))
-        if diff > tol:
-            bad_identity.append(("switching", diff, 0.0, diff))
-
-        if bad or bad_identity:
-            text = serialize_signed_graph(g)
-            failures += [Violation(trial, g_seed, text, *v) for v in bad]
-            identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
+    stream = np.array([cfg.seed & _MASK64], dtype=np.uint64)
+    size = max(1, _BATCH_ELEMENTS // (5 * cfg.n * cfg.n))
+    for first in range(0, trials, size):
+        seeds = _splitmix(stream, np.array([2 * first]), 2 * min(size, trials - first))[0]
+        g_seeds, th_streams = seeds[0::2].tolist(), seeds[1::2]
+        u = _generate(cfg, g_seeds)
+        theta = np.where(_uniforms(_splitmix(th_streams, np.zeros(len(th_streams), np.int64),
+                                             cfg.n)) < 0.5, -1, 1).ravel()
+        facts = _batch_facts(u, theta[u.i] * u.sign * theta[u.j])
+        for b, (g_seed, f) in enumerate(zip(g_seeds, facts)):
+            trial = first + b
+            try:
+                ev = _evaluation(f)
+            except InternalInconsistencyError as exc:
+                raise InternalInconsistencyError(f"trial={trial} seed={g_seed}: {exc}") from exc
+            # (check_id, value, reference, magnitude); the graph text is made
+            # only for a trial that has something to report.
+            lmax = ev.lambda_max
+            bad = [(res.bound_id, res.value, lmax, magnitude)
+                   for res, magnitude in sandwich_violations(ev.results, lmax, tol)]
+            bad_identity = [(f"trace-{k}", float(got), float(want), float(abs(got - want)))
+                            for k, (got, want) in enumerate(zip(f.matrix_traces, f.traces), 1)
+                            if got != want]
+            num_rank = sum(v > RANK_TOL for v in f.spectrum)
+            if num_rank != f.rank:
+                bad_identity.append(("rank", float(num_rank), float(f.rank),
+                                     float(abs(num_rank - f.rank))))
+            if f.switch_diff > tol:
+                bad_identity.append(("switching", f.switch_diff, 0.0, f.switch_diff))
+            if bad or bad_identity:
+                text = serialize_signed_graph(u.graph(b))
+                failures += [Violation(trial, g_seed, text, *v) for v in bad]
+                identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
 
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))
@@ -270,11 +355,12 @@ def report(
     if len(names) != len(graphs):
         raise ValueError("need exactly one name per graph")
     header = ["graph", "variant", "lambda_max"] + list(SIGNED_CATALOG)
+    variants = [v for g in graphs for v in (g, sign_all(g, 1), sign_all(g, -1))]
+    facts = _batch_facts(_Union.of(variants)) if variants else []
     rows = []
-    for name, g in zip(names, graphs):
-        variants = (g, sign_all(g, 1), sign_all(g, -1))
-        for label, variant in zip(_VARIANTS, variants):
-            ev = evaluate_all(variant, check=False)
-            values = (ev.lambda_max, *(r.value for r in ev.results))
-            rows.append([name, label, *(format_value(v, full_precision) for v in values)])
+    for k, f in enumerate(facts):
+        ev = _evaluation(f)
+        values = (ev.lambda_max, *(r.value for r in ev.results))
+        rows.append([names[k // 3], _VARIANTS[k % 3],
+                     *(format_value(v, full_precision) for v in values)])
     return render_table(header, rows, fmt)

@@ -7,9 +7,12 @@ sorted by pair, from construction on, and every statistic reads them.  All
 types are immutable after construction; every operation here is a pure
 function.  Statistics of a graph are memoised on the graph object itself
 (see :func:`cached_on_graph`), so each is computed once per graph.
-Triangles are counted combinatorially, from per-vertex neighbor bitmasks,
-never from a matrix, so ``spectra.power_traces`` checked against a matrix
-trace stays an independent check.
+
+Statistics are computed for a batch of graphs at once, held as one
+disjoint union (:class:`_Union`); a single graph is a batch of one.
+Triangles are counted from the 0/1 adjacency of each sign, never from a
+Laplacian, so ``spectra.power_traces`` checked against a matrix trace stays
+an independent check.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ _SIGN_TOKENS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 # lists by n and matrices by n^2, so a few bytes of header must not be able
 # to ask for more.
 MAX_VERTICES = 1_000_000
+
+# Most entries one batched array operation may hold: a stack of matrices,
+# a block of generator draws, a block of per-edge bit rows.  Work past it is
+# split into chunks, so memory does not grow with the batch.
+_BATCH_ELEMENTS = 1 << 22
 
 # Text exactly as serialize_signed_graph writes it, up to the order of the
 # edge lines and of the two indices on a line: the header, then "i j sign"
@@ -118,6 +126,9 @@ class SignedGraph:
                 raise ValueError("edge pairs must be distinct and ascend by (i, j)")
             return
         edges = self.edges
+        # A list or tuple could repeat a triple, and would not hash.
+        if not isinstance(edges, frozenset):
+            raise ValueError(f"edges must be a frozenset, got {type(edges).__name__}")
         repeated = set()
         for e in edges:
             i, j, sign = e
@@ -250,65 +261,143 @@ class TriangleStats:
     t_net: int
 
 
+class _Union:
+    """A batch of graphs held as one disjoint union.
+
+    Graph b has ``n[b]`` vertices, the union's (0-based) vertices
+    ``voff[b]`` to ``voff[b + 1] - 1``, and edges ``eoff[b]`` to
+    ``eoff[b + 1] - 1``, ascending by pair.  ``i``, ``j`` and ``sign`` are
+    the union's int64 edge arrays, ``li`` and ``lj`` the ends' 0-based
+    numbers inside their own graph, ``vgraph`` and ``egraph`` the graph of
+    each vertex and edge.  A per-vertex sum over the whole batch is then one
+    ``np.bincount`` and a per-graph sum or extreme one pass over segments:
+    the mini-batching of graph-learning libraries (Fey & Lenssen, *Fast
+    Graph Representation Learning with PyTorch Geometric*, 2019).
+    """
+
+    def __init__(self, n, m, i, j, sign):
+        self.n, self.i, self.j, self.sign = n, i, j, sign
+        self.voff = np.concatenate(([0], np.cumsum(n)))
+        self.eoff = np.concatenate(([0], np.cumsum(m)))
+        self.vgraph = np.repeat(np.arange(len(n)), n)
+        self.egraph = np.repeat(np.arange(len(n)), m)
+        self.li, self.lj = i - self.voff[self.egraph], j - self.voff[self.egraph]
+
+    @classmethod
+    def of(cls, graphs) -> "_Union":
+        """The union of ``graphs``, a nonempty sequence, in order."""
+        n = np.array([g.n for g in graphs], dtype=np.int64)
+        i, j, sign = (np.concatenate(column) for column in zip(*map(edge_arrays, graphs)))
+        m = np.array([g.m for g in graphs], dtype=np.int64)
+        shift = np.repeat(np.cumsum(n) - n - 1, m)
+        return cls(n, m, i + shift, j + shift, sign)
+
+    def graph(self, b: int) -> SignedGraph:
+        """Graph ``b`` on its own, held as its edge arrays."""
+        lo, hi, base = self.eoff[b], self.eoff[b + 1], self.voff[b] - 1
+        rows = np.column_stack((self.i[lo:hi] - base, self.j[lo:hi] - base, self.sign[lo:hi]))
+        return SignedGraph._from_edge_arrays(int(self.n[b]), *_read_only_columns(rows))
+
+
+def _exact_dtype(bound: int, limit: int = 2 ** 63):
+    """int64 when ``bound``, proven to be at least every integer the caller
+    derives from its values, is below ``limit``; otherwise object, so numpy
+    computes on Python ints.  The limit is 2^63 for integer results, and
+    2^53 for integers the caller converts to float64, which holds every
+    integer below 2^53 exactly."""
+    return np.int64 if bound < limit else object
+
+
+def _segments(ufunc, x: np.ndarray, offsets: np.ndarray) -> list:
+    """``ufunc.reduce`` (``np.add``, ``np.maximum`` or ``np.minimum``) of each
+    segment ``x[..., offsets[k]:offsets[k + 1]]``, as Python numbers; 0 for
+    an empty segment, where ``reduceat`` would read a single element."""
+    full = offsets[1:] > offsets[:-1]
+    out = np.zeros(x.shape[:-1] + full.shape, x.dtype)
+    out[..., full] = ufunc.reduceat(x, offsets[:-1][full], axis=-1)
+    return out.tolist()
+
+
+def _degree_stats(u: _Union):
+    """Degree statistics of every graph of ``u`` in one pass.
+
+    Returns per-vertex int64 arrays ``d``, ``d_neg`` and ``nds`` (sum of the
+    neighbors' degrees) over the union, and a dict of per-graph lists:
+    ``s1``-``s3`` (degree power sums), ``max_deg``, ``edge_deg_min`` and
+    ``edge_deg_max`` (extremes of d_i + d_j - 2 over edges, 0 without an
+    edge) and ``net1``-``net3``, the exact moments x^T L^k x at x = all-ones
+    (see ``spectra.rayleigh_moment``).  ``nds`` is at most max_deg^2 < 2^40,
+    so its float ``bincount`` is exact; the power sums, whose terms add up
+    to at most 16 max_deg^2 m, are Python ints when that reaches 2^63.
+    """
+    count = len(u.vgraph)
+    ends = np.concatenate((u.i, u.j))
+    d = np.bincount(ends, minlength=count)
+    negative = u.sign < 0
+    d_neg = np.bincount(ends[np.concatenate((negative, negative))], minlength=count)
+    nds = (np.bincount(u.i, d[u.j], count) + np.bincount(u.j, d[u.i], count)).astype(np.int64)
+    top = int(d.max())
+    wide = _exact_dtype(16 * top * top * len(u.i))
+    dw, nw = d.astype(wide), d_neg.astype(wide)
+    s1, s2, s3, n1, n2, n3 = _segments(
+        np.add, np.stack((dw, dw * dw, dw ** 3, nw, nw * nw, dw * nw * nw)), u.voff)
+    cross = _segments(np.add, u.sign.astype(wide) * nw[u.i] * nw[u.j], u.eoff)
+    edge_deg = d[u.i] + d[u.j] - 2
+    return d, d_neg, nds, {
+        "s1": s1, "s2": s2, "s3": s3,
+        "max_deg": _segments(np.maximum, d, u.voff),
+        "edge_deg_min": _segments(np.minimum, edge_deg, u.eoff),
+        "edge_deg_max": _segments(np.maximum, edge_deg, u.eoff),
+        "net1": [2 * x for x in n1],
+        "net2": [4 * x for x in n2],
+        "net3": [4 * x - 8 * c for x, c in zip(n3, cross)],
+    }
+
+
+# Number of set bits of each byte value.
+_BITS_SET = np.array([byte.bit_count() for byte in range(256)], dtype=np.uint8)
+
+
+def _triangle_counts(u: _Union) -> tuple[list, list]:
+    """(t_pos, t_neg) of every graph of ``u``, counted from the 0/1
+    adjacency of each sign, never from a Laplacian.
+
+    Row v of p (n) holds v's 0/1 adjacency to its positive (negative)
+    neighbors numbered above it, packed 8 to a byte.  For an edge (i, j),
+    i < j, the common neighbors k > j whose edges to i and j have the same
+    sign are the set bits of ``(p[i] & p[j]) | (n[i] & n[j])``, those with
+    opposite signs the bits of ``(p[i] & n[j]) | (n[i] & p[j])``; triangle
+    ijk has the edge's sign, or its opposite.  Each triangle is
+    seen once, from the edge between its two smallest vertices.  Costs
+    O(m n / 8) byte operations, in chunks of at most ``_BATCH_ELEMENTS``.
+    """
+    rows = np.zeros((2, len(u.vgraph), (int(u.n.max()) + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(rows, ((u.sign < 0).astype(np.intp), u.i, u.lj >> 3),
+                     np.left_shift(1, u.lj & 7).astype(np.uint8))
+    common = np.empty((2, len(u.i)), dtype=np.int64)  # same-sign, opposite-sign
+    step = max(1, _BATCH_ELEMENTS // rows.shape[2])
+    for lo in range(0, len(u.i), step):
+        (pi, ni), (pj, nj) = rows[:, u.i[lo:lo + step]], rows[:, u.j[lo:lo + step]]
+        bits = np.stack(((pi & pj) | (ni & nj), (pi & nj) | (ni & pj)))
+        common[:, lo:lo + step] = _BITS_SET[bits].sum(axis=2, dtype=np.int64)
+    # A negative edge flips the sign of its triangles.
+    return _segments(np.add, np.where(u.sign > 0, common, common[::-1]), u.eoff)
+
+
 @cached_on_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
-    ei, ej, es = (column.tolist() for column in edge_arrays(g))
-    # Lists indexed by vertex number; slot 0 is unused.
-    deg = [0] * (g.n + 1)
-    neg = [0] * (g.n + 1)
-    for i, j, s in zip(ei, ej, es):
-        deg[i] += 1
-        deg[j] += 1
-        if s < 0:
-            neg[i] += 1
-            neg[j] += 1
-    nbr_deg = [0] * (g.n + 1)
-    for i, j in zip(ei, ej):
-        nbr_deg[i] += deg[j]
-        nbr_deg[j] += deg[i]
-    d = deg[1:]
-    edge_degs = [deg[i] + deg[j] - 2 for i, j in zip(ei, ej)]
-    return DegreeProfile(
-        d=tuple(d),
-        d_neg=tuple(neg[1:]),
-        nds=tuple(nbr_deg[1:]),
-        s1=sum(d),
-        s2=sum(x * x for x in d),
-        s3=sum(x ** 3 for x in d),
-        max_deg=max(d),
-        edge_deg_min=min(edge_degs) if edge_degs else None,
-        edge_deg_max=max(edge_degs) if edge_degs else None,
-    )
+    d, d_neg, nds, sums = _degree_stats(_Union.of([g]))
+    extremes = (sums["edge_deg_min"][0], sums["edge_deg_max"][0]) if g.m else (None, None)
+    return DegreeProfile(tuple(d.tolist()), tuple(d_neg.tolist()), tuple(nds.tolist()),
+                         sums["s1"][0], sums["s2"][0], sums["s3"][0], sums["max_deg"][0],
+                         *extremes)
 
 
 @cached_on_graph
 def triangle_stats(g: SignedGraph) -> TriangleStats:
-    """Count triangles and their signs with per-vertex neighbor bitmasks.
-
-    Bit k of ``pos[v]`` (``neg[v]``) is set when vk is a positive (negative)
-    edge and k > v.  For an edge (i, j) with i < j, the common neighbors
-    k > j whose edges to i and j have the same sign are then the bits of
-    ``(pos[i] & pos[j]) | (neg[i] & neg[j])``, and those with opposite signs
-    the bits of ``(pos[i] & neg[j]) | (neg[i] & pos[j])``; triangle ijk has
-    the edge's sign, or its opposite.  Each triangle is seen once, from the
-    edge between its two smallest vertices.  Costs O(m * n / 64) word
-    operations.
-    """
-    ei, ej, es = (column.tolist() for column in edge_arrays(g))
-    pos = [0] * (g.n + 1)
-    neg = [0] * (g.n + 1)
-    for i, j, s in zip(ei, ej, es):
-        (pos if s > 0 else neg)[i] |= 1 << j
-    t_pos = t_neg = 0
-    for i, j, s in zip(ei, ej, es):
-        pi, ni, pj, nj = pos[i], neg[i], pos[j], neg[j]
-        same = ((pi & pj) | (ni & nj)).bit_count()
-        opp = ((pi & nj) | (ni & pj)).bit_count()
-        if s < 0:  # a negative edge flips the sign of its triangles
-            same, opp = opp, same
-        t_pos += same
-        t_neg += opp
+    """Count triangles and their signs (see :func:`_triangle_counts`)."""
+    (t_pos,), (t_neg,) = _triangle_counts(_Union.of([g]))
     return TriangleStats(t=t_pos + t_neg, t_pos=t_pos, t_neg=t_neg, t_net=t_pos - t_neg)
 
 
@@ -450,7 +539,6 @@ def _parse_lines(text: str) -> SignedGraph:
 
 def serialize_signed_graph(g: SignedGraph) -> str:
     """Render ``g`` in the edge-list format; round-trips through the parser."""
-    lines = [f"n {g.n}"]
-    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
-        lines.append(f"{i} {j} {'+' if s > 0 else '-'}")
-    return "\n".join(lines) + "\n"
+    i, j, sign = edge_arrays(g)
+    signs = np.where(sign > 0, "+", "-").tolist()
+    return f"n {g.n}\n" + "".join(map("{} {} {}\n".format, i.tolist(), j.tolist(), signs))

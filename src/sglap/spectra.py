@@ -6,14 +6,17 @@ computations are exact; floating point enters only through the
 eigensolver and bound values.  ``power_traces`` gives the same traces from
 degree and triangle counts, without a matrix.  ``eigenvalues`` takes any
 square symmetric 2-D array-like and returns its spectrum as an ascending
-tuple of floats.
+tuple of floats.  Every eigenvalue the package computes comes from one
+``numpy.linalg.eigvalsh`` call site, :func:`_eigvalsh`; a batch of graphs
+solves all its matrices of one order as one stack (:func:`_batch_spectra`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sgraph import SignedGraph, cached_on_graph, degree_profile, edge_arrays, triangle_stats
+from .sgraph import (_BATCH_ELEMENTS, SignedGraph, _degree_stats, _Union, cached_on_graph,
+                     degree_profile, triangle_stats)
 
 __all__ = [
     "laplacian",
@@ -29,13 +32,33 @@ __all__ = [
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Laplacian D - A: degrees on the diagonal, negated signs off it.
     Read-only: the per-graph memo hands one array to every caller."""
-    i, j, sign = edge_arrays(g)
-    i, j = i - 1, j - 1
-    m = np.zeros((g.n, g.n), dtype=np.int64)
-    m[i, j] = m[j, i] = -sign
-    np.fill_diagonal(m, np.bincount(np.concatenate((i, j)), minlength=g.n))
-    m.setflags(write=False)
-    return m
+    u = _Union.of([g])
+    stack = _laplacians(u, np.zeros(1, dtype=np.intp), u.sign[None], np.int64)
+    stack.setflags(write=False)
+    return stack[0, 0]
+
+
+def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """Laplacians D - A of the graphs ``graphs`` of ``u``, which share one
+    order n, with each row of ``weights`` (one weight of -1, 0 or +1 per
+    edge of ``u``) in place of their signs: A_ij is the weight of edge ij,
+    so a 0 drops the edge, and D_ii counts i's edges of nonzero weight.
+    Returns a (len(weights), len(graphs), n, n) stack of ``dtype``."""
+    n = int(u.n[graphs[0]])
+    slot = np.full(len(u.n), -1)
+    slot[graphs] = np.arange(len(graphs))
+    at = slot[u.egraph]
+    keep = at >= 0
+    at, i, j, w = at[keep], u.li[keep], u.lj[keep], weights[:, keep]
+    stack = np.zeros((len(w), len(graphs), n, n), dtype=dtype)
+    stack[:, at, i, j] = stack[:, at, j, i] = -w
+    layer = (np.arange(len(w))[:, None] * len(graphs) + at) * n
+    ends = np.concatenate(((layer + i).ravel(), (layer + j).ravel()))
+    nonzero = np.abs(w).ravel()
+    degree = np.bincount(ends, np.concatenate((nonzero, nonzero)), stack[..., 0].size)
+    diagonal = np.arange(n)
+    stack[..., diagonal, diagonal] = degree.reshape(stack.shape[:3])
+    return stack
 
 
 def sign_all(g: SignedGraph, sign: int) -> SignedGraph:
@@ -67,7 +90,62 @@ def eigenvalues(m) -> tuple[float, ...]:
         raise ValueError("matrix order must be positive")
     if not (a == a.T).all():
         raise ValueError("matrix is not symmetric")
-    return tuple(np.linalg.eigvalsh(a).tolist())
+    return tuple(_eigvalsh(a).tolist())
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric float64 matrix in ``a``, one
+    matrix or a stack, read from its lower triangle.  numpy solves a stack
+    matrix by matrix, with the LAPACK call a single matrix gets, so each
+    result equals that matrix's own."""
+    return np.linalg.eigvalsh(a)
+
+
+def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, list]:
+    """Spectra of every graph of ``u``, as per-graph lists.
+
+    ``spectrum`` is the spectrum of L, a tuple; ``top_abs``, ``top_pos``
+    and ``top_neg`` are the largest eigenvalues of |L|, the Laplacian of the
+    all-negative signing, and of L+ and L-, the Laplacians of the positive
+    and of the negative edges (L = L+ + L-).  With ``switched``, a sign per
+    edge of ``u``, ``switch_diff`` is the largest gap between L's spectrum
+    and that of L with those signs, and ``matrix_traces`` is
+    (tr L, tr L^2, tr L^3) by exact integer matrix products.  All these
+    matrices of the graphs of one order are solved as one stack by one
+    ``_eigvalsh`` call, in chunks of as many graphs as keep the stack within
+    ``_BATCH_ELEMENTS`` entries; where one graph's matrices alone pass it,
+    they are solved as few at a time as fit (at least one).
+    """
+    out = {key: [None] * len(u.n) for key in ("spectrum", "top_abs", "top_pos", "top_neg")}
+    weights = [u.sign, np.full_like(u.sign, -1), np.maximum(u.sign, 0), np.minimum(u.sign, 0)]
+    if switched is not None:
+        out["switch_diff"], out["matrix_traces"] = [None] * len(u.n), [None] * len(u.n)
+        weights.append(switched)
+    weights = np.stack(weights)
+    for n in sorted(set(u.n.tolist())):
+        group = np.flatnonzero(u.n == n)
+        size = max(1, _BATCH_ELEMENTS // (len(weights) * n * n))
+        for graphs in (group[k:k + size] for k in range(0, len(group), size)):
+            kinds = max(1, _BATCH_ELEMENTS // (len(graphs) * n * n))
+            eigs = []
+            for k in range(0, len(weights), kinds):
+                mats = _laplacians(u, graphs, weights[k:k + kinds], np.float64)
+                if k == 0 and switched is not None:
+                    lap = mats[0].astype(np.int64)
+                eigs.append(_eigvalsh(mats))
+                del mats  # before the next chunk is built
+            eigs = eigs[0] if len(eigs) == 1 else np.concatenate(eigs)
+            rows = [list(map(tuple, eigs[0].tolist())), *eigs[1:4, :, -1].tolist()]
+            if switched is not None:
+                square = lap @ lap
+                rows.append(np.abs(eigs[0] - eigs[4]).max(axis=1).tolist())
+                rows.append(list(map(tuple, np.stack((
+                    np.trace(lap, axis1=1, axis2=2), np.trace(square, axis1=1, axis2=2),
+                    (square * lap).sum(axis=(1, 2))), axis=1).tolist())))
+            for k, b in enumerate(graphs.tolist()):
+                for key, row in zip(out, rows):
+                    out[key][b] = row[k]
+    return out
 
 
 def trace_moment(a: np.ndarray, k: int):
@@ -94,8 +172,10 @@ def power_traces(g: SignedGraph) -> tuple[int, int, int]:
     power sums and signed triangles alone.  No matrix is built, so comparing
     them with :func:`trace_moment` is a real check."""
     prof = degree_profile(g)
-    s1, s2, s3 = prof.s1, prof.s2, prof.s3
-    t_net = triangle_stats(g).t_net
+    return _power_traces(prof.s1, prof.s2, prof.s3, triangle_stats(g).t_net)
+
+
+def _power_traces(s1: int, s2: int, s3: int, t_net: int) -> tuple[int, int, int]:
     return s1, s2 + s1, s3 + 3 * s2 - 6 * t_net
 
 
@@ -110,12 +190,4 @@ def rayleigh_moment(g: SignedGraph, k: int) -> int:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    prof = degree_profile(g)
-    dn = prof.d_neg
-    if k == 1:
-        return 2 * sum(dn)
-    if k == 2:
-        return 4 * sum(x * x for x in dn)
-    cross = sum(s * dn[i - 1] * dn[j - 1]
-                for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))))
-    return 4 * sum(d * x * x for d, x in zip(prof.d, dn)) - 8 * cross
+    return _degree_stats(_Union.of([g]))[3][f"net{k}"][0]

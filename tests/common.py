@@ -4,7 +4,9 @@ Oracles here deliberately avoid the package's computation paths: matrices
 are rebuilt from the edge list, triangles come from a full triple scan,
 component counts from a fresh BFS, eigenvalues from a cyclic Jacobi
 iteration (the package itself calls LAPACK), and parsed graphs from a
-straightforward line-by-line parser.
+straightforward line-by-line parser.  ``oracle_generate`` and
+``oracle_verify`` are the scalar generator and the trial-by-trial
+verification loop the package ran before it batched them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,31 @@ from collections import deque
 
 import numpy as np
 
-from sglap import BalanceInfo, GeneratorConfig, GraphFormatError, SignedGraph, generate
+from dataclasses import replace
+
+from sglap import (
+    RANK_TOL,
+    BalanceInfo,
+    GenerationError,
+    GeneratorConfig,
+    GraphFormatError,
+    InternalInconsistencyError,
+    SignedGraph,
+    SplitMix64,
+    VerificationReport,
+    Violation,
+    eigenvalues,
+    evaluate_all,
+    generate,
+    laplacian,
+    laplacian_rank,
+    power_traces,
+    sandwich_violations,
+    serialize_signed_graph,
+    switch,
+    trace_moment,
+)
+from sglap.harness import CONNECTIVITY_CAP
 
 # Small named graphs.  Naming: K/P/STAR + size + signature (P all-positive,
 # N all-negative, M mixed).
@@ -432,3 +458,69 @@ def random_graphs(count: int, *, base_seed: int, n_max: int = 12, n_min: int = 2
         )
         graphs.append(generate(cfg))
     return graphs
+
+
+def oracle_generate(cfg: GeneratorConfig) -> SignedGraph:
+    """``generate`` as a scalar loop over the documented draw order: one
+    splitmix64 draw per vertex pair in lexicographic order, a sign draw
+    right after each accepted pair, and with require_connected the scan
+    repeated on the same stream until the graph is connected."""
+    rng = SplitMix64(cfg.seed)
+    attempts = CONNECTIVITY_CAP if cfg.require_connected else 1
+    for _ in range(attempts):
+        edges = []
+        for i in range(1, cfg.n):
+            for j in range(i + 1, cfg.n + 1):
+                if rng.next_float() < cfg.edge_prob:
+                    sign = -1 if rng.next_float() < cfg.neg_prob else 1
+                    edges.append((i, j, sign))
+        g = SignedGraph(cfg.n, frozenset(edges))
+        if not cfg.require_connected or oracle_components(g) == 1:
+            return g
+    raise GenerationError(attempts)
+
+
+def oracle_verify(cfg: GeneratorConfig, trials: int, tol: float) -> VerificationReport:
+    """``verify`` trial by trial, each graph on its own: its bounds through
+    ``evaluate_all``, its traces through ``trace_moment`` on its Laplacian,
+    its rank through ``laplacian_rank``, and its switched spectrum through
+    ``switch`` and ``eigenvalues``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    failures, identity = [], []
+    seed_stream = SplitMix64(cfg.seed)
+    for trial in range(trials):
+        g_seed = seed_stream.next_u64()
+        th_seed = seed_stream.next_u64()
+        g = oracle_generate(replace(cfg, seed=g_seed))
+        try:
+            ev = evaluate_all(g, tol=tol, check=False)
+        except InternalInconsistencyError as exc:
+            raise InternalInconsistencyError(f"trial={trial} seed={g_seed}: {exc}") from exc
+        lmax = ev.lambda_max
+        bad = [(r.bound_id, r.value, lmax, mag)
+               for r, mag in sandwich_violations(ev.results, lmax, tol)]
+        bad_identity = []
+        lap = laplacian(g)
+        for k, want in enumerate(power_traces(g), start=1):
+            got = trace_moment(lap, k)
+            if got != want:
+                bad_identity.append((f"trace-{k}", float(got), float(want), float(abs(got - want))))
+        num_rank = sum(1 for v in ev.spectrum if v > RANK_TOL)
+        want_rank = laplacian_rank(g)
+        if num_rank != want_rank:
+            bad_identity.append(("rank", float(num_rank), float(want_rank),
+                                 float(abs(num_rank - want_rank))))
+        rng = SplitMix64(th_seed)
+        th = tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
+        switched = eigenvalues(laplacian(switch(g, th)))
+        diff = max(abs(a - b) for a, b in zip(ev.spectrum, switched))
+        if diff > tol:
+            bad_identity.append(("switching", diff, 0.0, diff))
+        if bad or bad_identity:
+            text = serialize_signed_graph(g)
+            failures += [Violation(trial, g_seed, text, *v) for v in bad]
+            identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
+    failures.sort(key=lambda v: (v.trial, v.check_id))
+    identity.sort(key=lambda v: (v.trial, v.check_id))
+    return VerificationReport(trials, tuple(failures), tuple(identity))

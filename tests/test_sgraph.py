@@ -242,6 +242,15 @@ class TestSignedGraph:
         with pytest.raises(ValueError, match="duplicate edge between 1 and 2"):
             SignedGraph(3, frozenset({(1, 2, 1), (1, 2, -1)}))
 
+    def test_rejects_edges_that_are_not_a_frozenset(self):
+        # A list can repeat a triple: [(1, 2, 1), (1, 2, 1)] built a graph
+        # with m = 2, degrees (2, 2, 0) and a Laplacian row [2, -1, 0], and
+        # hashing it raised TypeError.
+        for edges in ([(1, 2, 1), (1, 2, 1)], [(1, 2, 1)], ((1, 2, 1),), {(1, 2, 1)}):
+            with pytest.raises(ValueError, match="edges must be a frozenset, got "):
+                SignedGraph(3, edges)
+        assert SignedGraph(3, frozenset([(1, 2, 1), (1, 2, 1)])).m == 1
+
     @given(st.sampled_from((6, 6, 6, 5, 0, True, np.int64(6))),
            st.frozensets(_ordered_edges, max_size=12),
            st.frozensets(_any_edges, max_size=1))
