@@ -4,7 +4,8 @@ A switching function is a plain tuple of +1/-1 values, one per vertex, with
 th(v) = ``th[v - 1]``.  A component is balanced when every cycle in it has
 positive sign product, or equivalently when some switching function turns
 it all-positive.  The Laplacian rank is the vertex count minus the
-balanced-component count.
+balanced-component count.  Balance is read off the signed double cover
+(Zaslavsky, *Signed graphs*, 1982) by one helper, :func:`_cover_reading`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ __all__ = [
 class BalanceInfo:
     """Per-component balance data plus a positivizing certificate.
 
-    ``certificate`` switches every balanced component to all-positive edges;
-    its values on unbalanced components come from the same search tree but
-    carry no guarantee.
+    Components are numbered in the order of their smallest vertices.
+    ``certificate`` is the unique switching that is +1 at each component's
+    smallest vertex and turns every balanced component all-positive; it is
+    +1 throughout an unbalanced component.
     """
 
     component_count: int
@@ -68,43 +70,17 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
 
 @cached_on_graph
 def balance_info(g: SignedGraph) -> BalanceInfo:
-    """Detect balanced components by breadth-first sign propagation.
-
-    Roots are taken in vertex order with theta = +1; a newly reached vertex
-    gets theta(v) = sign(uv) * theta(u), and any other edge with sign !=
-    theta(u) * theta(v) marks its component unbalanced.  Neighbor lists are
-    built from :func:`edge_arrays`, sorted by pair, so each ascends.
-    """
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for i, j, s in zip(*(column.tolist() for column in edge_arrays(g))):
-        nbrs[i].append((j, s))
-        nbrs[j].append((i, s))
-    labels = [-1] * (g.n + 1)
-    theta = [1] * (g.n + 1)
-    balanced: list[bool] = []
-    for root in range(1, g.n + 1):
-        if labels[root] >= 0:
-            continue
-        comp = len(balanced)
-        ok = True
-        labels[root] = comp
-        queue = [root]
-        for u in queue:  # the list grows while it is read: a FIFO queue
-            tu = theta[u]
-            for v, s in nbrs[u]:
-                if labels[v] < 0:
-                    labels[v] = comp
-                    theta[v] = s * tu
-                    queue.append(v)
-                elif theta[v] != s * tu:
-                    ok = False
-        balanced.append(ok)
+    """:class:`BalanceInfo` of ``g``, read off its signed double cover
+    (:func:`_cover_reading`)."""
+    i, j, sign = edge_arrays(g)
+    root, balanced, theta = _cover_reading(g.n, i - 1, j - 1, sign < 0)
+    is_root = root == np.arange(g.n)
     return BalanceInfo(
-        component_count=len(balanced),
-        balanced_count=sum(balanced),
-        component_labels=tuple(labels[1:]),
-        component_balanced=tuple(balanced),
-        certificate=tuple(theta[1:]),
+        component_count=int(is_root.sum()),
+        balanced_count=int((is_root & balanced).sum()),
+        component_labels=tuple((np.cumsum(is_root) - 1)[root].tolist()),
+        component_balanced=tuple(balanced[is_root].tolist()),
+        certificate=tuple(theta.tolist()),
     )
 
 
@@ -153,15 +129,26 @@ def _cover_labels(count: int, i: np.ndarray, j: np.ndarray, negative: np.ndarray
         label = label[label]
 
 
+def _cover_reading(count: int, i: np.ndarray, j: np.ndarray,
+                   negative: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex v of the graph of :func:`_cover_labels`, from its node
+    labels plus = label[2v] and minus = label[2v + 1]: the smallest vertex
+    of v's component, min(plus, minus) >> 1; whether that component is
+    balanced, plus != minus; and the certificate 1 - 2 * (plus & 1), which
+    is +1 at each smallest vertex and, plus being even there, on every
+    unbalanced component."""
+    label = _cover_labels(count, i, j, negative)
+    plus, minus = label[0::2], label[1::2]
+    return np.minimum(plus, minus) >> 1, plus != minus, 1 - 2 * (plus & 1)
+
+
 def _balance_counts(u: _Union) -> tuple[np.ndarray, np.ndarray]:
     """Component and balanced-component counts of every graph of ``u``,
-    read off the union's double cover (:func:`_cover_labels`): a vertex is
-    its component's smallest vertex s iff its smaller node label is 2s."""
-    label = _cover_labels(len(u.vgraph), u.i, u.j, u.sign < 0)
-    plus, minus = label[0::2], label[1::2]
-    root = np.minimum(plus, minus) >> 1 == np.arange(len(plus))
-    return (np.bincount(u.vgraph[root], minlength=len(u.n)),
-            np.bincount(u.vgraph[root & (plus != minus)], minlength=len(u.n)))
+    read off the union's double cover (:func:`_cover_reading`)."""
+    root, balanced, _ = _cover_reading(len(u.vgraph), u.i, u.j, u.sign < 0)
+    is_root = root == np.arange(len(root))
+    return (np.bincount(u.vgraph[is_root], minlength=len(u.n)),
+            np.bincount(u.vgraph[is_root & balanced], minlength=len(u.n)))
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
@@ -172,7 +159,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     component.  Both graphs' :func:`edge_arrays` are sorted by pair, so
     comparing their index arrays compares the underlying graphs and
     multiplying their sign arrays gives the product signature, whose
-    balance is read off its double cover (:func:`_cover_labels`).  The
+    balance is read off its double cover (:func:`_cover_reading`).  The
     returned witness satisfies switch(g1, witness) == g2 and is +1 at the
     smallest vertex of each component.
     """
@@ -183,10 +170,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
     i2, j2, s2 = edge_arrays(g2)
     if not (np.array_equal(i, i2) and np.array_equal(j, j2)):
         return no
-    label = _cover_labels(g1.n, i - 1, j - 1, s1 != s2)
-    plus, minus = label[0::2], label[1::2]
-    if (plus == minus).any():
+    _, balanced, theta = _cover_reading(g1.n, i - 1, j - 1, s1 != s2)
+    if not balanced.all():
         return no
-    # theta(v) = +1 iff v's + node lies in the half of its component's
-    # smallest vertex's + node, labelled by an even node.
-    return SwitchingVerdict(True, tuple((1 - 2 * (plus & 1)).tolist()))
+    return SwitchingVerdict(True, tuple(theta.tolist()))

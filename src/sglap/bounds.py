@@ -341,9 +341,11 @@ def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
     (signless Laplacian), where the balanced-component count becomes the
     component count c (all-positive) or the bipartite component count
     (all-negative), and signed triangles collapse to +-t.  Results come in
-    catalog order and carry the catalog's ids.
+    catalog order and carry the catalog's ids.  Both signings are
+    evaluated as one batch (:func:`_batch_facts`).
     """
-    signings = {sign: sign_all(g, sign) for sign in (1, -1)}
+    positive, negative = _batch_facts(_Union.of([sign_all(g, 1), sign_all(g, -1)]))
+    signings = {1: positive, -1: negative}
     return tuple(
         replace(signed_bound(signings[sign]), bound_id=bound_id)
         for bound_id, sign, signed_bound in UNSIGNED_CATALOG

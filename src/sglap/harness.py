@@ -47,6 +47,9 @@ CONNECTIVITY_CAP = 10_000
 # O(n^2) scan.
 MAX_GENERATED_VERTICES = 10_000
 RANK_TOL = 1e-8
+# Pair draws up to which a round of connectivity retries costs more in numpy
+# call overhead than in draws: only rounds this small draw several attempts.
+_SMALL_ROUND = 1 << 15
 
 
 class SplitMix64:
@@ -141,13 +144,14 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0 ** -53
 
 
-def _scan(cfg: GeneratorConfig, seeds: np.ndarray, start: np.ndarray):
-    """One scan of every vertex pair on each stream, from its position in
-    ``start``: ``(row, pair, negative)`` of the accepted pairs, by row then
-    pair (pairs numbered from 0 in scan order), and each stream's position
-    after its scan.  Streams advance in blocks of at most ``_BATCH_ELEMENTS``
-    draws in all."""
-    total = cfg.n * (cfg.n - 1) // 2
+def _scan(cfg: GeneratorConfig, seeds: np.ndarray, start: np.ndarray, scans: int):
+    """``scans`` scans of every vertex pair on each stream, from its position
+    in ``start``, chained as one longer scan (a scan ends before a pair draw):
+    ``(row, pair, negative)`` of the accepted pairs, by row then pair (scan s
+    numbers its pairs on from s times the pair count), and each stream's
+    position after them.  Streams advance in blocks of at most
+    ``_BATCH_ELEMENTS`` draws in all."""
+    total = scans * (cfg.n * (cfg.n - 1) // 2)
     done, start = np.zeros(len(seeds), dtype=np.int64), start.copy()
     found = []
     while (active := np.flatnonzero(done < total)).size:
@@ -195,26 +199,35 @@ def _pairs_union(n: int, graphs: int, row, pair, negative) -> _Union:
 
 def _generate(cfg: GeneratorConfig, seeds) -> _Union:
     """The graphs ``generate(replace(cfg, seed=s))`` for each s in ``seeds``,
-    as one union: every attempt of every stream is drawn as one batch, and
-    the unconnected ones draw again from where their scan ended."""
+    as one union.  Each round draws k attempts of every pending stream as
+    one batch and keeps each stream's first connected one; the rest draw
+    again from where their scans ended.  k doubles per round, within the
+    attempts left and ``_SMALL_ROUND`` pair draws per round."""
     streams = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
     start = np.zeros(len(seeds), dtype=np.int64)
     pending, kept = np.arange(len(seeds)), []
+    pairs = max(1, cfg.n * (cfg.n - 1) // 2)  # 1 at n = 1, which draws none
     attempts = CONNECTIVITY_CAP if cfg.require_connected else 1
-    for _ in range(attempts):
-        row, pair, negative, start[pending] = _scan(cfg, streams[pending], start[pending])
-        ok = np.ones(len(pending), dtype=bool)
+    done, k = 0, 1
+    while pending.size:
+        if done == attempts:
+            raise GenerationError(attempts)
+        k = min(k, attempts - done, max(1, _SMALL_ROUND // (pending.size * pairs)))
+        row, pair, negative, start[pending] = _scan(cfg, streams[pending], start[pending], k)
+        # Attempt a of pending stream r is graph r * k + a of the round.
+        attempt, pair = np.divmod(pair, pairs)
+        graph = row * k + attempt
+        ok = np.ones(pending.size * k, dtype=bool)
         if cfg.require_connected:
-            ok = np.bincount(row, minlength=len(pending)) >= cfg.n - 1  # fewer edges cannot connect
+            ok = np.bincount(graph, minlength=ok.size) >= cfg.n - 1  # fewer edges cannot connect
             if ok.any():
-                ok &= _balance_counts(_pairs_union(cfg.n, len(pending), row, pair, negative))[0] == 1
-        keep = ok[row]
+                ok &= _balance_counts(_pairs_union(cfg.n, ok.size, graph, pair, negative))[0] == 1
+        ok = ok.reshape(-1, k)
+        found = ok.any(axis=1)
+        keep = found[row] & (attempt == ok.argmax(axis=1)[row])
         kept.append((pending[row[keep]], pair[keep], negative[keep]))
-        pending = pending[~ok]
-        if not pending.size:
-            break
-    else:
-        raise GenerationError(attempts)
+        pending = pending[~found]
+        done, k = done + k, 2 * k
     return _pairs_union(cfg.n, len(seeds), *_by_row(kept))
 
 

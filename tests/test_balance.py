@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -103,8 +104,8 @@ class TestBalanceInfo:
 
     def test_equal_graphs_built_in_different_orders_agree(self):
         # A set iterates in an order that depends on how it was built; the
-        # certificate on an unbalanced component follows the BFS order, so it
-        # must not follow the edge set's iteration order.
+        # result is read off the edge arrays, sorted by pair, so it must not
+        # follow the edge set's iteration order.
         rng = random.Random(17)
         for g in random_graphs(300, base_seed=7_700, n_min=4, n_max=14):
             want = balance_info(g)
@@ -344,7 +345,8 @@ class TestSwitchingEquivalentShapes:
     shapes with long paths, deep trees, high degree and many components,
     up to n = 20 000: a switching of each graph, and the same switching
     with its first edge flipped, which breaks equivalence in the cyclic
-    shapes."""
+    shapes.  ``balance_info`` of each graph is checked against
+    ``oracle_balance_info`` too (:func:`expected_balance_info`)."""
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     def test_matches_oracle(self, shape):
@@ -359,6 +361,8 @@ class TestSwitchingEquivalentShapes:
             i, j = sorted(edges[0][:2])
             s = 1 if (i, j, 1) in h.edges else -1
             partners.append(SignedGraph(n, (h.edges - {(i, j, s)}) | {(i, j, -s)}))
+        for x in (g, *partners):
+            assert balance_info(x) == expected_balance_info(x)
         verdicts = []
         for b in partners:
             for x, y in ((g, b), (b, g)):
@@ -368,15 +372,26 @@ class TestSwitchingEquivalentShapes:
         assert verdicts == [True, True] + [shape not in _CYCLIC] * 2 * bool(edges)
 
 
+def expected_balance_info(g: SignedGraph) -> BalanceInfo:
+    """``oracle_balance_info(g)`` with its certificate set to +1 on every
+    vertex of an unbalanced component, where the search's values carry no
+    guarantee and ``balance_info`` defines them as +1."""
+    want = oracle_balance_info(g)
+    certificate = tuple(theta if want.component_balanced[c] else 1
+                        for c, theta in zip(want.component_labels, want.certificate))
+    return dataclasses.replace(want, certificate=certificate)
+
+
 class TestBalanceInfoMatchesReference:
-    """``balance_info`` against the search it used before reading edge
-    arrays, frozen as ``oracle_balance_info``: all five fields, certificates
-    on unbalanced components included, on graphs built directly, on graphs
+    """``balance_info`` against the breadth-first search it used before it
+    read the double cover, frozen as ``oracle_balance_info``: all five
+    fields exactly equal, the certificate +1 on unbalanced components
+    (:func:`expected_balance_info`), on graphs built directly, on graphs
     parsed from shuffled serializer text (edge arrays from the parser's
     sort) and on fresh copies of those (edge arrays sorted by the constructor)."""
 
     def _check(self, g: SignedGraph, rng: random.Random) -> BalanceInfo:
-        want = oracle_balance_info(g)
+        want = expected_balance_info(g)
         assert balance_info(g) == want
         parsed = parse_signed_graph(_shuffled_text(g, rng))
         assert "edges" not in parsed.__dict__

@@ -90,6 +90,21 @@ class TestGenerateMatchesScalarLoop:
             generate(cfg)
         assert err.value.attempts == 10_000
 
+    def test_retries_share_scans(self, monkeypatch):
+        # Each round scans several attempts per stream, their count doubling,
+        # so the 10 000 attempts of an exhausted cap take 14 scans, not one each.
+        calls, scan = [], harness._scan
+
+        def counted(*args):
+            calls.append(args[-1])
+            return scan(*args)
+
+        monkeypatch.setattr(harness, "_scan", counted)
+        cfg = GeneratorConfig(n=4, edge_prob=0.0, neg_prob=0.5, seed=1, require_connected=True)
+        with pytest.raises(GenerationError):
+            generate(cfg)
+        assert len(calls) <= 15 and sum(calls) == 10_000
+
 
 class TestVerifyMatchesTrialLoop:
     @given(st.one_of(configs(False), configs(True)), st.integers(1, 6),

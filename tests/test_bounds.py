@@ -49,6 +49,7 @@ from sglap import (
     ub_wang_global,
     unsigned_corollaries,
 )
+from sglap import bounds
 from test_sgraph import signed_graphs
 
 CUBE = 1.0 / 3.0
@@ -304,6 +305,20 @@ class TestUnsignedCorollaries:
                 else:
                     assert res.applicable
                     assert abs(res.value - want) <= 1e-12
+
+    def test_both_signings_are_one_batch(self, monkeypatch):
+        calls, batch = [], bounds._batch_facts
+
+        def counted(u, *rest):
+            calls.append(len(u.n))
+            return batch(u, *rest)
+
+        monkeypatch.setattr(bounds, "_batch_facts", counted)
+        g = SignedGraph.from_edges(4, [(1, 2, -1), (2, 3, 1), (1, 3, 1), (3, 4, -1)])
+        values = {res.bound_id: res.value for res in unsigned_corollaries(g)}
+        assert calls == [2]  # one batch of the two signings
+        assert values["UB-L"] == ub_rank_trace(sign_all(g, 1)).value
+        assert values["UB-SL"] == ub_rank_trace(sign_all(g, -1)).value
 
     def test_wrappers_bound_their_targets(self):
         sign_of = {bound_id: sign for bound_id, sign, _ in UNSIGNED_CATALOG}

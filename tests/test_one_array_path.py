@@ -2,10 +2,12 @@
 statistics and bounds read the edge arrays whole, never edge by edge.
 
 Every eigenvalue goes through ``spectra._eigvalsh``, so a batch of graphs
-and a single graph share one solver.  ``sgraph``, ``spectra`` and ``bounds``
-hold no loop that turns the edge columns into Python lists and zips them,
-the scalar form the batch replaced.  ``SignedGraph`` itself may: it builds
-its edge set of tuples from the columns.
+and a single graph share one solver.  ``sgraph``, ``spectra``, ``bounds``
+and ``balance`` hold no loop that turns the edge columns into Python lists
+and zips them, the scalar form the batch replaced; in ``balance`` that
+keeps every balance result on the double cover, with no second search
+beside it.  ``SignedGraph`` itself may: it builds its edge set of tuples
+from the columns.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 import sglap
 
 SOURCES = sorted(Path(sglap.__file__).parent.glob("*.py"))
-ARRAY_MODULES = ("sgraph.py", "spectra.py", "bounds.py")
+ARRAY_MODULES = ("sgraph.py", "spectra.py", "bounds.py", "balance.py")
 
 
 def eigvalsh_calls(tree: ast.AST) -> list[int]:
