@@ -1,16 +1,19 @@
 """Eigenvalue bounds for the signed Laplacian spectral radius.
 
-Every bound returns a :class:`BoundResult` whose ``applicable`` flag encodes
-its hypothesis (connectedness, edge count, rank conditions); inapplicable
-results carry a guard reason instead of a value.  The catalogs at the bottom
-list each bound id once; the ids are a compatibility surface used in CLI
-output and CSV headers.
+The signed catalog is one table, ``_CATALOG``, with one row per bound: id,
+direction, hypotheses (each with the guard reason an inapplicable result
+carries instead of a value), formula and docstring.  ``SIGNED_CATALOG``
+(the evaluation order), the public bound functions and ``classic_bounds``
+are read off it, so adding or auditing a bound is a one-row edit.  The ids
+are a compatibility surface used in CLI output and CSV headers.
 
-Each bound reads the statistics :func:`_batch_facts` computes for a whole
-batch of graphs in one pass; called on a graph, it reads that graph's
+Each formula reads the statistics :func:`_batch_facts` computes for a whole
+batch of graphs in one pass; called on a graph, a bound reads that graph's
 batch of one.  Degree sums are kept in exact integer arithmetic as long as
 possible so the values differ from their defining formulas only by the
-final float division, square root, or cube root.
+final float division, square root, or cube root.  A radicand or moment the
+theory makes nonnegative passes through :func:`_nonnegative`, which raises
+on a negative value instead of clamping it.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ UPPER = "upper"
 
 DEFAULT_TOL = 1e-9
 
-_NOT_CONNECTED = "graph not connected"
-_NO_EDGE = "at least one edge required"
-
 
 class InternalInconsistencyError(RuntimeError):
     """A quantity violated an identity the theory guarantees; indicates a bug."""
@@ -83,14 +83,6 @@ class BoundResult:
             raise ValueError(f"{self.bound_id}: inapplicable result needs a guard reason and no value")
 
 
-def _value(bound_id: str, direction: str, v: float) -> BoundResult:
-    return BoundResult(bound_id, direction, True, "", float(v))
-
-
-def _na(bound_id: str, direction: str, reason: str) -> BoundResult:
-    return BoundResult(bound_id, direction, False, reason, None)
-
-
 class _Facts(SimpleNamespace):
     """One graph's entries of :func:`_batch_facts`, as attributes."""
 
@@ -111,7 +103,7 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> list[_Facts]:
 
     Per graph: ``n``, ``m``, ``connected``, ``rank`` (n minus balanced
     components), the :func:`~sglap.sgraph._degree_stats` sums, ``t_net``,
-    ``traces`` (:func:`~sglap.spectra.power_traces`), the
+    ``p1``-``p3`` (:func:`~sglap.spectra.power_traces`), the
     :func:`~sglap.spectra._batch_spectra` entries (``switched`` is passed
     on), and the per-edge and per-vertex maxima of UB-WANG-EDGE and
     KB-1..KB-4, with ``wang_bad`` and ``kb2_bad`` naming the first edge
@@ -125,8 +117,8 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> list[_Facts]:
     n, m = u.n.tolist(), np.diff(u.eoff).tolist()
     facts.update(n=n, m=m, connected=(components == 1).tolist(), rank=(u.n - balanced).tolist(),
                  t_net=[p - q for p, q in zip(t_pos, t_neg)])
-    facts["traces"] = list(map(_power_traces, facts["s1"], facts["s2"], facts["s3"],
-                               facts["t_net"]))
+    facts["p1"], facts["p2"], facts["p3"] = zip(*map(
+        _power_traces, facts["s1"], facts["s2"], facts["s3"], facts["t_net"]))
     di, dj, si, sj = d[u.i], d[u.j], nds[u.i], nds[u.j]
     # d * nds <= max_deg^3 < 2^60; the UB-WANG-EDGE numerator, at most
     # 4 max_deg^4, is divided as a float, so past 2^53 it is a Python int.
@@ -149,186 +141,164 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> list[_Facts]:
     return [_Facts(**dict(zip(facts, row))) for row in zip(*facts.values())]
 
 
-# -- sign-dependent lower bounds -------------------------------------------
+# -- the catalog ----------------------------------------------------------------
 
-def lb_net_mean(g: SignedGraph) -> BoundResult:
-    """LB-NET-1: (2/n) * sum of negative degrees, for connected graphs."""
-    f = _facts(g)
-    if not f.connected:
-        return _na("LB-NET-1", LOWER, _NOT_CONNECTED)
-    return _value("LB-NET-1", LOWER, f.net1 / f.n)
+class _Negative(Exception):
+    """A negative :func:`_nonnegative` argument; the row that met it names its bound."""
 
 
-def lb_net_sq(g: SignedGraph) -> BoundResult:
-    """LB-NET-2: sqrt((4/n) * sum of squared negative degrees), connected graphs."""
-    f = _facts(g)
-    if not f.connected:
-        return _na("LB-NET-2", LOWER, _NOT_CONNECTED)
-    return _value("LB-NET-2", LOWER, math.sqrt(f.net2 / f.n))
+def _nonnegative(x, what: str = "radicand", where: str = ""):
+    """``x``, a radicand or moment the theory makes nonnegative; a negative
+    value is asserted as a bug, never clamped."""
+    if x < 0:
+        raise _Negative(f"{what} {x} < 0{where}")
+    return x
 
 
-def lb_net_cubic(g: SignedGraph) -> BoundResult:
-    """LB-NET-3: cube root of (x^T L^3 x)/n at x = all-ones, connected graphs.
+@dataclass(frozen=True, slots=True)
+class _Row:
+    """One bound, returned by the public function ``function``.  The first
+    (hypothesis, guard reason) pair of ``needs`` whose hypothesis fails on a
+    graph's facts makes the bound inapplicable; else its value is ``formula``."""
 
-    The inner moment is nonnegative because L^3 is positive semidefinite;
-    a negative value is asserted as a bug, never clamped.
-    """
-    f = _facts(g)
-    if not f.connected:
-        return _na("LB-NET-3", LOWER, _NOT_CONNECTED)
-    if f.net3 < 0:
-        raise InternalInconsistencyError(f"LB-NET-3: cubic moment {f.net3} < 0 on a PSD matrix")
-    return _value("LB-NET-3", LOWER, (f.net3 / f.n) ** (1.0 / 3.0))
+    function: str
+    bound_id: str
+    direction: str
+    needs: tuple[tuple[Callable[[_Facts], bool], str], ...]
+    formula: Callable[[_Facts], float]
+    doc: str
 
-
-# -- rank / trace bounds ----------------------------------------------------
-
-def ub_rank_trace(g: SignedGraph) -> BoundResult:
-    """UB-RANK: mean-plus-deviation bound over the nonzero spectrum.
-
-    With r = rank(L) = n - (balanced components), s1/r is the mean nonzero
-    eigenvalue and the radicand is (r-1) times its variance:
-        s1/r + sqrt((s1+s2) - (s1+s2+s1^2)/r + (s1/r)^2).
-    Scaled by r^2 the radicand is the exact integer
-        N = (r-1)(r(s1+s2) - s1^2),
-    so the value is (s1 + sqrt(N))/r with no cancellation; a negative N is
-    asserted as a bug, never clamped.  Needs at least one edge (which
-    forces r >= 1).
-    """
-    f = _facts(g)
-    if f.m == 0:
-        return _na("UB-RANK", UPPER, _NO_EDGE)
-    r, s1, s2 = f.rank, f.s1, f.s2
-    radicand = (r - 1) * (r * (s1 + s2) - s1 * s1)
-    if radicand < 0:
-        raise InternalInconsistencyError(f"UB-RANK: radicand {radicand} < 0")
-    return _value("UB-RANK", UPPER, (s1 + math.sqrt(radicand)) / r)
+    def result(self, f: _Facts) -> BoundResult:
+        for holds, reason in self.needs:
+            if not holds(f):
+                return BoundResult(self.bound_id, self.direction, False, reason)
+        try:
+            value = self.formula(f)
+        except _Negative as err:
+            raise InternalInconsistencyError(f"{self.bound_id}: {err}") from None
+        return BoundResult(self.bound_id, self.direction, True, "", float(value))
 
 
-def lb_trace_sq(g: SignedGraph) -> BoundResult:
-    """LB-TR-1: sqrt(|p1^2 - p2| / (r(r-1))) with p_k = tr(L^k), needs rank
-    r = n - b >= 2.  The absolute value keeps the bound valid when the signed
-    numerator goes negative."""
-    f = _facts(g)
-    r = f.rank
-    if r < 2:
-        return _na("LB-TR-1", LOWER, "b > n-2")
-    p1, p2, _ = f.traces
-    return _value("LB-TR-1", LOWER, math.sqrt(abs(p1 * p1 - p2) / (r * (r - 1))))
+_CONNECTED = (lambda f: f.connected, "graph not connected")
+_AN_EDGE = (lambda f: f.m > 0, "at least one edge required")
+
+# In evaluation order, which is also the report's column order.
+_CATALOG: tuple[_Row, ...] = (
+    _Row("lb_net_mean", "LB-NET-1", LOWER, (_CONNECTED,),
+         lambda f: f.net1 / f.n,
+         "(2/n) * sum of negative degrees, for connected graphs."),
+    _Row("lb_net_sq", "LB-NET-2", LOWER, (_CONNECTED,),
+         lambda f: math.sqrt(f.net2 / f.n),
+         "sqrt((4/n) * sum of squared negative degrees), connected graphs."),
+    _Row("lb_net_cubic", "LB-NET-3", LOWER, (_CONNECTED,),
+         lambda f: (_nonnegative(f.net3, "cubic moment", " on a PSD matrix") / f.n) ** (1.0 / 3.0),
+         """cube root of (x^T L^3 x)/n at x = all-ones, connected graphs.  The
+         inner moment is nonnegative because L^3 is positive semidefinite."""),
+    _Row("ub_wang_edge", "UB-WANG-EDGE", UPPER, (_CONNECTED, _AN_EDGE),
+         lambda f: (2.0 + math.sqrt(f.wang) if f.wang_bad is None
+                    else _nonnegative(f.wang_bad, "inner term")),
+         """2 + max over edges ij of
+             sqrt((d_i + d_j - 2)(d_i^2 m_i + d_j^2 m_j - 2 d_i d_j) / (d_i d_j)),
+         where d^2 * m is computed as degree times neighbor-degree sum (an exact
+         integer).  Needs a connected graph with an edge."""),
+    _Row("ub_wang_global", "UB-WANG-GLOBAL", UPPER,
+         (_CONNECTED, (lambda f: f.n > 2, "order n <= 2")),
+         lambda f: 2.0 + math.sqrt(_nonnegative(
+             f.s2 - 2 * f.m - (f.m - 1) * f.edge_deg_min + (f.edge_deg_min - 1) * f.edge_deg_max)),
+         """2 + sqrt(s2 - 2m - (m-1)*edmin + (edmin-1)*edmax), where edmin/edmax
+         are the extremes of d_i + d_j - 2 over edges.  Needs a connected graph
+         of order more than 2."""),
+    _Row("ub_rank_trace", "UB-RANK", UPPER, (_AN_EDGE,),
+         lambda f: (f.s1 + math.sqrt(_nonnegative(
+             (f.rank - 1) * (f.rank * (f.s1 + f.s2) - f.s1 * f.s1)))) / f.rank,
+         """mean-plus-deviation bound over the nonzero spectrum,
+             s1/r + sqrt((s1+s2) - (s1+s2+s1^2)/r + (s1/r)^2),
+         r = rank(L) = n - b: s1/r is the mean nonzero eigenvalue and the radicand
+         (r-1) times its variance.  It is computed as (s1 + sqrt(N))/r, with no
+         cancellation, from N = (r-1)(r(s1+s2) - s1^2), the radicand scaled by
+         r^2 and an exact integer.  Needs at least one edge (so r >= 1)."""),
+    _Row("lb_trace_sq", "LB-TR-1", LOWER, ((lambda f: f.rank >= 2, "b > n-2"),),
+         lambda f: math.sqrt(abs(f.p1 * f.p1 - f.p2) / (f.rank * (f.rank - 1))),
+         """sqrt(|p1^2 - p2| / (r(r-1))) with p_k = tr(L^k), needs rank
+         r = n - b >= 2.  The absolute value keeps the bound valid when the
+         signed numerator goes negative."""),
+    _Row("lb_trace_cubic_a", "LB-TR-2", LOWER, ((lambda f: f.rank >= 3, "b > n-3"),),
+         lambda f: (abs(2 * f.p3 - 3 * f.p2 * f.p1 + f.p1 ** 3)
+                    / (f.rank * (f.rank - 1) * (f.rank - 2))) ** (1.0 / 3.0),
+         """cube root of |2 p3 - 3 p2 p1 + p1^3| / (r(r-1)(r-2)) with
+         p_k = tr(L^k), needs rank r = n - b >= 3."""),
+    _Row("lb_trace_cubic_b", "LB-TR-3", LOWER, ((lambda f: f.rank >= 2, "rank n-b < 2"),),
+         lambda f: (abs(f.p1 * f.p2 - f.p3) / (f.rank * (f.rank - 1))) ** (1.0 / 3.0),
+         """cube root of |p1 p2 - p3| / (r(r-1)) with p_k = tr(L^k), needs rank
+         r = n - b >= 2, as the denominator does; the stated balanced-component
+         condition would make the bound near-vacuous."""),
+    _Row("ub_all_negative", "UB-ALLNEG", UPPER, (_CONNECTED,),
+         lambda f: f.top_abs,
+         """spectral radius of the all-negative signing, whose Laplacian D + |A|
+         is |L(g)| entrywise, so no graph is rebuilt.  Tight exactly when the
+         graph is switching equivalent to its all-negative signing.  Needs a
+         connected graph."""),
+    _Row("lb_interlacing", "LB-INTERLACE", LOWER, (),
+         lambda f: max(f.top_pos, f.top_neg),
+         """larger spectral radius of the two one-sign subgraphs, whose
+         Laplacians L+ and L- = L(g) - L+ are read off L(g)."""),
+    _Row("classic_bounds", "KB-1", UPPER, (_CONNECTED, _AN_EDGE),
+         lambda f: f.kb1,
+         "max over edges ij of (d_i^2 + nds_i + d_j^2 + nds_j) / (d_i + d_j)."),
+    _Row("classic_bounds", "KB-2", UPPER, (_CONNECTED, _AN_EDGE),
+         lambda f: (2.0 + math.sqrt(f.kb2) if f.kb2_bad is None else _nonnegative(
+             f.kb2_bad[0], where=" on edge {},{}".format(*f.kb2_bad[1:]))),
+         "2 + sqrt(max over edges ij of d_i^2 + nds_i - 4 d_i + d_j^2 + nds_j - 4 d_j + 4)."),
+    _Row("classic_bounds", "KB-3", UPPER, (_CONNECTED, _AN_EDGE),
+         lambda f: f.kb3,
+         "max over vertices of d + sqrt(nds)."),
+    _Row("classic_bounds", "KB-4", UPPER, (_CONNECTED, _AN_EDGE),
+         lambda f: f.kb4,
+         "max over edges ij of (d_i + d_j + sqrt((d_i - d_j)^2 + 4 sqrt(nds_i nds_j))) / 2."),
+    _Row("classic_bounds", "KB-5", LOWER, (_CONNECTED, _AN_EDGE),
+         lambda f: f.max_deg + 1.0,
+         "max_deg + 1."),
+)
+
+SIGNED_CATALOG: tuple[str, ...] = tuple(row.bound_id for row in _CATALOG)
 
 
-def lb_trace_cubic_a(g: SignedGraph) -> BoundResult:
-    """LB-TR-2: cube root of |2 p3 - 3 p2 p1 + p1^3| / (r(r-1)(r-2)) with
-    p_k = tr(L^k), needs rank r = n - b >= 3."""
-    f = _facts(g)
-    r = f.rank
-    if r < 3:
-        return _na("LB-TR-2", LOWER, "b > n-3")
-    p1, p2, p3 = f.traces
-    num = abs(2 * p3 - 3 * p2 * p1 + p1 ** 3)
-    return _value("LB-TR-2", LOWER, (num / (r * (r - 1) * (r - 2))) ** (1.0 / 3.0))
+def _bound_function(name: str) -> Callable[[SignedGraph], BoundResult]:
+    """The public function ``name``: its row on a graph or on one graph's facts."""
+    (row,) = [row for row in _CATALOG if row.function == name]
+
+    def bound(g: SignedGraph) -> BoundResult:
+        return row.result(_facts(g))
+
+    bound.__name__ = bound.__qualname__ = name
+    bound.__doc__ = f"{row.bound_id}: {row.doc}"
+    return bound
 
 
-def lb_trace_cubic_b(g: SignedGraph) -> BoundResult:
-    """LB-TR-3: cube root of |p1 p2 - p3| / (r(r-1)) with p_k = tr(L^k), rank
-    r >= 2.  The guard is rank n-b >= 2, the condition the r(r-1) denominator
-    needs; the stated balanced-component condition would make the bound
-    near-vacuous.
-    """
-    f = _facts(g)
-    r = f.rank
-    if r < 2:
-        return _na("LB-TR-3", LOWER, "rank n-b < 2")
-    p1, p2, p3 = f.traces
-    return _value("LB-TR-3", LOWER, (abs(p1 * p2 - p3) / (r * (r - 1))) ** (1.0 / 3.0))
+lb_net_mean = _bound_function("lb_net_mean")
+lb_net_sq = _bound_function("lb_net_sq")
+lb_net_cubic = _bound_function("lb_net_cubic")
+ub_wang_edge = _bound_function("ub_wang_edge")
+ub_wang_global = _bound_function("ub_wang_global")
+ub_rank_trace = _bound_function("ub_rank_trace")
+lb_trace_sq = _bound_function("lb_trace_sq")
+lb_trace_cubic_a = _bound_function("lb_trace_cubic_a")
+lb_trace_cubic_b = _bound_function("lb_trace_cubic_b")
+ub_all_negative = _bound_function("ub_all_negative")
+lb_interlacing = _bound_function("lb_interlacing")
 
+_CLASSIC = tuple(row for row in _CATALOG if row.function == "classic_bounds")
 
-# -- sign-independent upper bounds ------------------------------------------
-
-def ub_wang_edge(g: SignedGraph) -> BoundResult:
-    """UB-WANG-EDGE: edge scan over degrees and average 2-degrees.
-
-    2 + max over edges ij of
-        sqrt((d_i + d_j - 2)(d_i^2 m_i + d_j^2 m_j - 2 d_i d_j) / (d_i d_j)),
-    where d^2 * m is computed as degree times neighbor-degree sum (an exact
-    integer).  Needs a connected graph with an edge.
-    """
-    f = _facts(g)
-    if not f.connected:
-        return _na("UB-WANG-EDGE", UPPER, _NOT_CONNECTED)
-    if f.m == 0:
-        return _na("UB-WANG-EDGE", UPPER, _NO_EDGE)
-    if f.wang_bad is not None:
-        raise InternalInconsistencyError(f"UB-WANG-EDGE: inner term {f.wang_bad} < 0")
-    return _value("UB-WANG-EDGE", UPPER, 2.0 + math.sqrt(f.wang))
-
-
-def ub_wang_global(g: SignedGraph) -> BoundResult:
-    """UB-WANG-GLOBAL: 2 + sqrt(s2 - 2m - (m-1)*edmin + (edmin-1)*edmax).
-
-    edmin/edmax are the extremes of d_i + d_j - 2 over edges.  Needs a
-    connected graph of order more than 2.
-    """
-    f = _facts(g)
-    if not f.connected:
-        return _na("UB-WANG-GLOBAL", UPPER, _NOT_CONNECTED)
-    if f.n <= 2:
-        return _na("UB-WANG-GLOBAL", UPPER, "order n <= 2")
-    dmin, dmax = f.edge_deg_min, f.edge_deg_max
-    radicand = f.s2 - 2 * f.m - (f.m - 1) * dmin + (dmin - 1) * dmax
-    if radicand < 0:
-        raise InternalInconsistencyError(f"UB-WANG-GLOBAL: radicand {radicand} < 0")
-    return _value("UB-WANG-GLOBAL", UPPER, 2.0 + math.sqrt(radicand))
-
-
-def ub_all_negative(g: SignedGraph) -> BoundResult:
-    """UB-ALLNEG: spectral radius of the all-negative signing.
-
-    Its Laplacian D + |A| is |L(g)| entrywise, so no graph is rebuilt.
-    Tight exactly when the graph is switching equivalent to its all-negative
-    signing.  Needs a connected graph.
-    """
-    f = _facts(g)
-    if not f.connected:
-        return _na("UB-ALLNEG", UPPER, _NOT_CONNECTED)
-    return _value("UB-ALLNEG", UPPER, f.top_abs)
-
-
-def lb_interlacing(g: SignedGraph) -> BoundResult:
-    """LB-INTERLACE: larger spectral radius of the two one-sign subgraphs,
-    whose Laplacians L+ and L- = L(g) - L+ are read off L(g)."""
-    f = _facts(g)
-    return _value("LB-INTERLACE", LOWER, max(f.top_pos, f.top_neg))
-
-
-# -- previously known sign-independent bounds --------------------------------
 
 def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
-    """KB-1..KB-4 (upper) and KB-5 (lower), all on connected graphs with an edge.
-
-    All five depend only on degrees and average 2-degrees; products like
-    d_i * m_i are evaluated as neighbor-degree sums to stay in integers.
-    KB-1, KB-2 and KB-4 are maxima over edges ij of
-        (d_i^2 + nds_i + d_j^2 + nds_j) / (d_i + d_j),
-        2 + sqrt(d_i^2 + nds_i - 4 d_i + d_j^2 + nds_j - 4 d_j + 4),
-        (d_i + d_j + sqrt((d_i - d_j)^2 + 4 sqrt(nds_i nds_j))) / 2,
-    KB-3 the maximum over vertices of d + sqrt(nds), and KB-5 max_deg + 1.
-    """
-    ids = (("KB-1", UPPER), ("KB-2", UPPER), ("KB-3", UPPER), ("KB-4", UPPER), ("KB-5", LOWER))
+    """KB-1..KB-4 (upper) and KB-5 (lower), all on connected graphs with an
+    edge.  They read only degrees d and neighbor-degree sums nds (d_i m_i,
+    with m_i the average 2-degree), which stay exact integers:"""
     f = _facts(g)
-    if not f.connected:
-        return tuple(_na(b, d, _NOT_CONNECTED) for b, d in ids)
-    if f.m == 0:
-        return tuple(_na(b, d, _NO_EDGE) for b, d in ids)
-    if f.kb2_bad is not None:
-        raise InternalInconsistencyError("KB-2: radicand {} < 0 on edge {},{}".format(*f.kb2_bad))
-    return (
-        _value("KB-1", UPPER, f.kb1),
-        _value("KB-2", UPPER, 2.0 + math.sqrt(f.kb2)),
-        _value("KB-3", UPPER, f.kb3),
-        _value("KB-4", UPPER, f.kb4),
-        _value("KB-5", LOWER, f.max_deg + 1.0),
-    )
+    return tuple([row.result(f) for row in _CLASSIC])
+
+
+classic_bounds.__doc__ += "".join(f"\n    {row.bound_id}: {row.doc}" for row in _CLASSIC)
 
 
 # -- unsigned-graph corollaries ----------------------------------------------
@@ -350,6 +320,24 @@ def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
         replace(signed_bound(signings[sign]), bound_id=bound_id)
         for bound_id, sign, signed_bound in UNSIGNED_CATALOG
     )
+
+
+# (bound_id, sign, signed_bound): the signed bound evaluated with every edge
+# signed ``sign``, +1 for the Laplacian of the underlying graph and -1 for
+# its signless Laplacian.
+UNSIGNED_CATALOG: tuple[tuple[str, int, Callable[[SignedGraph], BoundResult]], ...] = (
+    ("NEQ-SLB-1", -1, lb_net_mean),
+    ("NEQ-SLB-2", -1, lb_net_sq),
+    ("NEQ-SLB-3", -1, lb_net_cubic),
+    ("UB-L", 1, ub_rank_trace),
+    ("UB-SL", -1, ub_rank_trace),
+    ("LB-TR-L-1", 1, lb_trace_sq),
+    ("LB-TR-L-2", 1, lb_trace_cubic_a),
+    ("LB-TR-L-3", 1, lb_trace_cubic_b),
+    ("LB-TR-SL-1", -1, lb_trace_sq),
+    ("LB-TR-SL-2", -1, lb_trace_cubic_a),
+    ("LB-TR-SL-3", -1, lb_trace_cubic_b),
+)
 
 
 # -- full evaluation ----------------------------------------------------------
@@ -408,44 +396,4 @@ def evaluate_all(g: SignedGraph, tol: float = DEFAULT_TOL, check: bool = True) -
 
 def _evaluation(f: _Facts) -> BoundEvaluation:
     """The catalog on one graph's facts, in ``SIGNED_CATALOG`` order."""
-    results = (
-        lb_net_mean(f),
-        lb_net_sq(f),
-        lb_net_cubic(f),
-        ub_wang_edge(f),
-        ub_wang_global(f),
-        ub_rank_trace(f),
-        lb_trace_sq(f),
-        lb_trace_cubic_a(f),
-        lb_trace_cubic_b(f),
-        ub_all_negative(f),
-        lb_interlacing(f),
-        *classic_bounds(f),
-    )
-    return BoundEvaluation(results=results, spectrum=f.spectrum)
-
-
-# Signed-catalog ids in evaluation order, which is also the report's column
-# order.
-SIGNED_CATALOG: tuple[str, ...] = (
-    "LB-NET-1", "LB-NET-2", "LB-NET-3", "UB-WANG-EDGE", "UB-WANG-GLOBAL", "UB-RANK",
-    "LB-TR-1", "LB-TR-2", "LB-TR-3", "UB-ALLNEG", "LB-INTERLACE",
-    "KB-1", "KB-2", "KB-3", "KB-4", "KB-5",
-)
-
-# (bound_id, sign, signed_bound): the signed bound evaluated with every edge
-# signed ``sign``, +1 for the Laplacian of the underlying graph and -1 for
-# its signless Laplacian.
-UNSIGNED_CATALOG: tuple[tuple[str, int, Callable[[SignedGraph], BoundResult]], ...] = (
-    ("NEQ-SLB-1", -1, lb_net_mean),
-    ("NEQ-SLB-2", -1, lb_net_sq),
-    ("NEQ-SLB-3", -1, lb_net_cubic),
-    ("UB-L", 1, ub_rank_trace),
-    ("UB-SL", -1, ub_rank_trace),
-    ("LB-TR-L-1", 1, lb_trace_sq),
-    ("LB-TR-L-2", 1, lb_trace_cubic_a),
-    ("LB-TR-L-3", 1, lb_trace_cubic_b),
-    ("LB-TR-SL-1", -1, lb_trace_sq),
-    ("LB-TR-SL-2", -1, lb_trace_cubic_a),
-    ("LB-TR-SL-3", -1, lb_trace_cubic_b),
-)
+    return BoundEvaluation(tuple([row.result(f) for row in _CATALOG]), f.spectrum)

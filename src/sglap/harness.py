@@ -305,7 +305,8 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
             bad = [(res.bound_id, res.value, lmax, magnitude)
                    for res, magnitude in sandwich_violations(ev.results, lmax, tol)]
             bad_identity = [(f"trace-{k}", float(got), float(want), float(abs(got - want)))
-                            for k, (got, want) in enumerate(zip(f.matrix_traces, f.traces), 1)
+                            for k, (got, want) in enumerate(
+                                zip(f.matrix_traces, (f.p1, f.p2, f.p3)), 1)
                             if got != want]
             num_rank = sum(v > RANK_TOL for v in f.spectrum)
             if num_rank != f.rank:

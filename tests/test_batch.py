@@ -21,6 +21,7 @@ from sglap import (
     InternalInconsistencyError,
     SignedGraph,
     SplitMix64,
+    balance_info,
     degree_profile,
     evaluate_all,
     generate,
@@ -216,6 +217,35 @@ class TestAssertsInTheBatch:
             messages.append((str(wang.value), str(kb2.value)))
         assert messages == [("UB-WANG-EDGE: inner term -8 < 0", "KB-2: radicand -4 < 0 on edge 1,2"),
                             ("UB-WANG-EDGE: inner term -6 < 0", "KB-2: radicand -2 < 0 on edge 1,2")]
+
+    def test_negative_radicands_name_their_bound(self, monkeypatch):
+        # With every s2 planted as 0, UB-RANK's radicand is
+        # (r-1)(r s1 - s1^2) and UB-WANG-GLOBAL's -2m - (m-1) edmin +
+        # (edmin-1) edmax, both negative on these two unbalanced graphs.
+        graphs = [K3M, SignedGraph.from_edges(4, [(1, 2, 1), (2, 3, -1), (2, 4, 1), (3, 4, 1)])]
+        real = bounds._degree_stats
+
+        def planted(u):
+            d, d_neg, nds, sums = real(u)
+            sums["s2"] = [0] * len(sums["s2"])
+            return d, d_neg, nds, sums
+
+        monkeypatch.setattr(bounds, "_degree_stats", planted)
+        messages = []
+        for g, f in zip(graphs, _batch_facts(_Union.of(graphs))):
+            prof, b = degree_profile(g), balance_info(g)
+            r, s1, m = g.n - b.balanced_count, prof.s1, g.m
+            lo, hi = prof.edge_deg_min, prof.edge_deg_max
+            with pytest.raises(InternalInconsistencyError) as rank:
+                bounds.ub_rank_trace(f)
+            with pytest.raises(InternalInconsistencyError) as wang:
+                bounds.ub_wang_global(f)
+            assert str(rank.value) == f"UB-RANK: radicand {(r - 1) * (r * s1 - s1 * s1)} < 0"
+            radicand = -2 * m - (m - 1) * lo + (lo - 1) * hi
+            assert str(wang.value) == f"UB-WANG-GLOBAL: radicand {radicand} < 0"
+            messages.append((str(rank.value), str(wang.value)))
+        assert messages == [("UB-RANK: radicand -36 < 0", "UB-WANG-GLOBAL: radicand -8 < 0"),
+                            ("UB-RANK: radicand -96 < 0", "UB-WANG-GLOBAL: radicand -11 < 0")]
 
 
 class TestExactAggregates:

@@ -150,6 +150,11 @@ class TestSignBlindUpperBounds:
         assert ub_wang_edge(P3P).value == pytest.approx(3.0)
         assert ub_wang_edge(K3M).value == pytest.approx(4.0)
 
+    def test_wang_edge_guards(self):
+        # K1 is connected without an edge; EMPTY3 fails connectivity first.
+        assert ub_wang_edge(K1).guard_reason == "at least one edge required"
+        assert ub_wang_edge(EMPTY3).guard_reason == "graph not connected"
+
     def test_wang_global_examples(self):
         assert ub_wang_global(K3N).value == pytest.approx(4.0)
         assert ub_wang_global(P3P).value == pytest.approx(3.0)

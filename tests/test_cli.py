@@ -168,12 +168,15 @@ class TestVerifyCommand:
         assert "FAIL trial=0 seed=77 check=KB-1 " in out
 
     def test_bound_assertion_names_its_seed(self, capsys, monkeypatch):
-        from sglap import InternalInconsistencyError, SplitMix64
+        from dataclasses import replace
 
-        def broken(g):
-            raise InternalInconsistencyError("UB-RANK: radicand -1 < 0")
+        from sglap import SplitMix64, bounds
 
-        monkeypatch.setattr("sglap.bounds.ub_rank_trace", broken)
+        # The catalog's UB-RANK row, planted to hand the shared assert a
+        # radicand of -1 on every graph with an edge.
+        planted = tuple(replace(row, formula=lambda f: bounds._nonnegative(-1))
+                        if row.bound_id == "UB-RANK" else row for row in bounds._CATALOG)
+        monkeypatch.setattr(bounds, "_CATALOG", planted)
         code, out, err = run(capsys, ["verify", "--n", "5", "--edge-prob", "0.5",
                                       "--neg-prob", "0.5", "--trials", "3",
                                       "--seed", "9"])
