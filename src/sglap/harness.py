@@ -3,13 +3,17 @@
 The generator is built on splitmix64 so that a (config, seed) pair pins the
 exact graph across platforms and implementations; the draw order is part of
 the contract and documented on :func:`generate`.  ``verify`` generates,
-scores and solves its trials as batches (``sgraph._Union``).
+scores and solves its trials as batches (``sgraph._Union``), and runs each
+of its checks as one mask over a batch: it builds a :class:`Violation`, and
+writes out a graph, only for a trial that fails.  ``report`` formats its
+cells straight from the catalog's value matrix (``bounds._scores``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +21,13 @@ import numpy as np
 from .balance import _balance_counts
 from .bounds import (
     DEFAULT_TOL,
+    LOWER,
     SIGNED_CATALOG,
     InternalInconsistencyError,
     _batch_facts,
-    _evaluation,
-    sandwich_violations,
+    _CATALOG,
+    _Negative,
+    _scores,
 )
 from .sgraph import _BATCH_ELEMENTS, SignedGraph, _Union, serialize_signed_graph
 from .spectra import sign_all
@@ -40,6 +46,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# splitmix64's state increment and output mix, as numpy scalars.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
 CONNECTIVITY_CAP = 10_000
 # Largest order generate accepts.  It draws once per vertex pair, 5*10^7
 # draws at 10^4 vertices, and verify then solves dense float64 matrices of
@@ -47,6 +57,8 @@ CONNECTIVITY_CAP = 10_000
 # O(n^2) scan.
 MAX_GENERATED_VERTICES = 10_000
 RANK_TOL = 1e-8
+# A column of the catalog's rows: True for a lower bound.
+_LOWER_ROWS = np.array([[row.direction == LOWER] for row in _CATALOG])
 # Pair draws up to which a round of connectivity retries costs more in numpy
 # call overhead than in draws: only rounds this small draw several attempts.
 _SMALL_ROUND = 1 << 15
@@ -133,11 +145,14 @@ def _splitmix(seeds: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
     """uint64 outputs ``start + 1`` to ``start + count`` of the splitmix64
     stream of each of ``seeds`` (uint64), one row per stream, as
     :class:`SplitMix64` draws them; ``start`` holds int64 positions."""
-    steps = start.astype(np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64)
-    z = seeds[:, None] + steps * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = start.astype(np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += seeds[:, None]
+    for shift, factor in _MIX:
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> _LAST_SHIFT
+    return z
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
@@ -154,23 +169,25 @@ def _scan(cfg: GeneratorConfig, seeds: np.ndarray, start: np.ndarray, scans: int
     total = scans * (cfg.n * (cfg.n - 1) // 2)
     done, start = np.zeros(len(seeds), dtype=np.int64), start.copy()
     found = []
-    while (active := np.flatnonzero(done < total)).size:
+    while (active := (done < total).nonzero()[0]).size:
         left = total - done[active]
-        width = int(min(2 * left.max(), max(2, _BATCH_ELEMENTS // active.size)))
+        width = min(2 * int(np.maximum.reduce(left)), max(2, _BATCH_ELEMENTS // active.size))
         # One draw past the block, so an accepted pair's sign draw is in it.
         u = _uniforms(_splitmix(seeds[active], start[active], width + 1))
         hit = u[:, :width] < cfg.edge_prob
         at = np.arange(width)
         last_miss = np.maximum.accumulate(np.where(hit, -1, at), axis=1)
-        before = np.concatenate((np.full((active.size, 1), -1), last_miss[:, :-1]), axis=1)
+        before = np.empty_like(last_miss)  # the last miss before each draw
+        before[:, 0] = -1
+        before[:, 1:] = last_miss[:, :-1]
         pair_draw = (at - before) % 2 == 1  # the block starts on a pair draw
-        rank = np.cumsum(pair_draw, axis=1)
+        rank = pair_draw.cumsum(axis=1)
         take = pair_draw & (rank <= left[:, None])
-        r, p = np.nonzero(take & hit)
+        r, p = (take & hit).nonzero()
         found.append((active[r], done[active][r] + rank[r, p] - 1, u[r, p + 1] < cfg.neg_prob))
-        last = width - 1 - np.argmax(take[:, ::-1], axis=1)
+        last = width - 1 - take[:, ::-1].argmax(axis=1)
         start[active] += last + 1 + hit[np.arange(active.size), last]
-        done[active] += take.sum(axis=1)
+        done[active] += np.add.reduce(take, axis=1)
     if not found:
         return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, bool), start
     return (*_by_row(found), start)
@@ -199,15 +216,18 @@ def _pairs_union(n: int, graphs: int, row, pair, negative) -> _Union:
 
 def _generate(cfg: GeneratorConfig, seeds) -> _Union:
     """The graphs ``generate(replace(cfg, seed=s))`` for each s in ``seeds``,
-    as one union.  Each round draws k attempts of every pending stream as
-    one batch and keeps each stream's first connected one; the rest draw
-    again from where their scans ended.  k doubles per round, within the
-    attempts left and ``_SMALL_ROUND`` pair draws per round."""
+    as one union.  Without require_connected that is one scan per stream.
+    With it, each round draws k attempts of every pending stream as one
+    batch and keeps each stream's first connected one; the rest draw again
+    from where their scans ended.  k doubles per round, within the attempts
+    left and ``_SMALL_ROUND`` pair draws per round."""
     streams = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
     start = np.zeros(len(seeds), dtype=np.int64)
+    if not cfg.require_connected:
+        return _pairs_union(cfg.n, len(seeds), *_scan(cfg, streams, start, 1)[:3])
     pending, kept = np.arange(len(seeds)), []
     pairs = max(1, cfg.n * (cfg.n - 1) // 2)  # 1 at n = 1, which draws none
-    attempts = CONNECTIVITY_CAP if cfg.require_connected else 1
+    attempts = CONNECTIVITY_CAP
     done, k = 0, 1
     while pending.size:
         if done == attempts:
@@ -217,11 +237,10 @@ def _generate(cfg: GeneratorConfig, seeds) -> _Union:
         # Attempt a of pending stream r is graph r * k + a of the round.
         attempt, pair = np.divmod(pair, pairs)
         graph = row * k + attempt
-        ok = np.ones(pending.size * k, dtype=bool)
-        if cfg.require_connected:
-            ok = np.bincount(graph, minlength=ok.size) >= cfg.n - 1  # fewer edges cannot connect
-            if ok.any():
-                ok &= _balance_counts(_pairs_union(cfg.n, ok.size, graph, pair, negative))[0] == 1
+        # Fewer than n - 1 edges cannot connect n vertices.
+        ok = np.bincount(graph, minlength=pending.size * k) >= cfg.n - 1
+        if ok.any():
+            ok &= _balance_counts(_pairs_union(cfg.n, ok.size, graph, pair, negative))[0] == 1
         ok = ok.reshape(-1, k)
         found = ok.any(axis=1)
         keep = found[row] & (attempt == ok.argmax(axis=1)[row])
@@ -265,7 +284,9 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     interlacing included via its catalog entry); the three closed-form trace
     identities against exact matrix products; the rank identity (eigenvalue
     count above RANK_TOL equals n minus balanced components); and spectrum
-    invariance under a random switching.  Failed checks are returned as data.
+    invariance under a random switching.  Each check is one comparison over
+    a batch's value matrix or stacked spectra.  Failed checks are returned
+    as data.
 
     Trial k (from 0) takes the (2k+1)-th output of the splitmix64 stream
     seeded with cfg.seed as its graph seed and the (2k+2)-th as its
@@ -275,13 +296,16 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     its matrices within ``_BATCH_ELEMENTS`` entries.
 
     Raises:
-        ValueError: ``trials`` is below 1; zero trials check nothing, so
-            their report would be a vacuous pass.
+        ValueError: ``trials`` is below 1, or ``tol`` is NaN or infinite;
+            zero trials check nothing, NaN fails every comparison and +inf
+            passes every one, so the report would be a vacuous pass.
         InternalInconsistencyError: a bound asserted an identity the theory
             guarantees; the message names the trial and its graph seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     failures: list[Violation] = []
     identity: list[Violation] = []
     stream = np.array([cfg.seed & _MASK64], dtype=np.uint64)
@@ -292,32 +316,41 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         u = _generate(cfg, g_seeds)
         theta = np.where(_uniforms(_splitmix(th_streams, np.zeros(len(th_streams), np.int64),
                                              cfg.n)) < 0.5, -1, 1).ravel()
-        facts = _batch_facts(u, theta[u.i] * u.sign * theta[u.j])
-        for b, (g_seed, f) in enumerate(zip(g_seeds, facts)):
-            trial = first + b
-            try:
-                ev = _evaluation(f)
-            except InternalInconsistencyError as exc:
-                raise InternalInconsistencyError(f"trial={trial} seed={g_seed}: {exc}") from exc
-            # (check_id, value, reference, magnitude); the graph text is made
-            # only for a trial that has something to report.
-            lmax = ev.lambda_max
-            bad = [(res.bound_id, res.value, lmax, magnitude)
-                   for res, magnitude in sandwich_violations(ev.results, lmax, tol)]
-            bad_identity = [(f"trace-{k}", float(got), float(want), float(abs(got - want)))
-                            for k, (got, want) in enumerate(
-                                zip(f.matrix_traces, (f.p1, f.p2, f.p3)), 1)
-                            if got != want]
-            num_rank = sum(v > RANK_TOL for v in f.spectrum)
-            if num_rank != f.rank:
-                bad_identity.append(("rank", float(num_rank), float(f.rank),
-                                     float(abs(num_rank - f.rank))))
-            if f.switch_diff > tol:
-                bad_identity.append(("switching", f.switch_diff, 0.0, f.switch_diff))
-            if bad or bad_identity:
-                text = serialize_signed_graph(u.graph(b))
-                failures += [Violation(trial, g_seed, text, *v) for v in bad]
-                identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
+        f = _batch_facts(u, theta[u.i] * u.sign * theta[u.j])
+        try:
+            values, applicable = _scores(f)
+        except _Negative as exc:
+            raise InternalInconsistencyError(
+                f"trial={first + exc.graph} seed={g_seeds[exc.graph]}: {exc}") from exc
+        # Each check as a mask over the batch, with the scalar comparisons.
+        lmax = f.lambda_max
+        sandwich = applicable & np.where(_LOWER_ROWS, values > lmax + tol, values < lmax - tol)
+        want = np.array((f.p1, f.p2, f.p3)).T
+        traces = f.matrix_traces != want
+        num_rank = (f.spectra.reshape(len(g_seeds), cfg.n) > RANK_TOL).sum(axis=1)
+        switching = f.switch_diff > tol
+        failed = sandwich.any(axis=0) | traces.any(axis=1) | (num_rank != f.rank) | switching
+        # (check_id, value, reference, magnitude); the graph text is made
+        # only for a trial that has something to report.
+        for b in failed.nonzero()[0].tolist():
+            bad = []
+            for k in np.flatnonzero(sandwich[:, b]).tolist():
+                value, top = float(values[k, b]), float(lmax[b])
+                bad.append((SIGNED_CATALOG[k], value, top,
+                            value - top if _LOWER_ROWS[k, 0] else top - value))
+            bad_identity = [(f"trace-{k + 1}", float(got), float(ref), float(abs(got - ref)))
+                            for k, (got, ref) in enumerate(zip(f.matrix_traces[b].tolist(),
+                                                               want[b].tolist())) if got != ref]
+            got, ref = int(num_rank[b]), int(f.rank[b])
+            if got != ref:
+                bad_identity.append(("rank", float(got), float(ref), float(abs(got - ref))))
+            if switching[b]:
+                diff = float(f.switch_diff[b])
+                bad_identity.append(("switching", diff, 0.0, diff))
+            text = serialize_signed_graph(u.graph(b))
+            trial, g_seed = first + b, g_seeds[b]
+            failures += [Violation(trial, g_seed, text, *v) for v in bad]
+            identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
 
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))
@@ -370,11 +403,12 @@ def report(
         raise ValueError("need exactly one name per graph")
     header = ["graph", "variant", "lambda_max"] + list(SIGNED_CATALOG)
     variants = [v for g in graphs for v in (g, sign_all(g, 1), sign_all(g, -1))]
-    facts = _batch_facts(_Union.of(variants)) if variants else []
-    rows = []
-    for k, f in enumerate(facts):
-        ev = _evaluation(f)
-        values = (ev.lambda_max, *(r.value for r in ev.results))
-        rows.append([names[k // 3], _VARIANTS[k % 3],
-                     *(format_value(v, full_precision) for v in values)])
-    return render_table(header, rows, fmt)
+    if not variants:
+        return render_table(header, [], fmt)
+    f = _batch_facts(_Union.of(variants))
+    values, applicable = _scores(f)
+    cells = np.vstack((f.lambda_max, values)).astype(object)
+    cells[1:][~applicable] = None
+    return render_table(header, [[names[k // 3], _VARIANTS[k % 3],
+                                  *(format_value(v, full_precision) for v in column)]
+                                 for k, column in enumerate(cells.T.tolist())], fmt)

@@ -265,7 +265,7 @@ class _Union:
     """A batch of graphs held as one disjoint union.
 
     Graph b has ``n[b]`` vertices, the union's (0-based) vertices
-    ``voff[b]`` to ``voff[b + 1] - 1``, and edges ``eoff[b]`` to
+    ``voff[b]`` to ``voff[b + 1] - 1``, and ``m[b]`` edges, ``eoff[b]`` to
     ``eoff[b + 1] - 1``, ascending by pair.  ``i``, ``j`` and ``sign`` are
     the union's int64 edge arrays, ``li`` and ``lj`` the ends' 0-based
     numbers inside their own graph, ``vgraph`` and ``egraph`` the graph of
@@ -276,12 +276,13 @@ class _Union:
     """
 
     def __init__(self, n, m, i, j, sign):
-        self.n, self.i, self.j, self.sign = n, i, j, sign
-        self.voff = np.concatenate(([0], np.cumsum(n)))
-        self.eoff = np.concatenate(([0], np.cumsum(m)))
-        self.vgraph = np.repeat(np.arange(len(n)), n)
-        self.egraph = np.repeat(np.arange(len(n)), m)
-        self.li, self.lj = i - self.voff[self.egraph], j - self.voff[self.egraph]
+        self.n, self.m, self.i, self.j, self.sign = n, m, i, j, sign
+        self.voff = np.concatenate(([0], n.cumsum()))
+        self.eoff = np.concatenate(([0], m.cumsum()))
+        self.vgraph = np.arange(len(n)).repeat(n)
+        self.egraph = np.arange(len(n)).repeat(m)
+        base = self.voff[self.egraph]
+        self.li, self.lj = i - base, j - base
 
     @classmethod
     def of(cls, graphs) -> "_Union":
@@ -308,21 +309,23 @@ def _exact_dtype(bound: int, limit: int = 2 ** 63):
     return np.int64 if bound < limit else object
 
 
-def _segments(ufunc, x: np.ndarray, offsets: np.ndarray) -> list:
+def _segments(ufunc, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``ufunc.reduce`` (``np.add``, ``np.maximum`` or ``np.minimum``) of each
-    segment ``x[..., offsets[k]:offsets[k + 1]]``, as Python numbers; 0 for
-    an empty segment, where ``reduceat`` would read a single element."""
+    segment ``x[..., offsets[k]:offsets[k + 1]]``; 0 for an empty segment,
+    where ``reduceat`` would read a single element."""
     full = offsets[1:] > offsets[:-1]
+    if np.count_nonzero(full) == len(full):
+        return ufunc.reduceat(x, offsets[:-1], axis=-1)
     out = np.zeros(x.shape[:-1] + full.shape, x.dtype)
     out[..., full] = ufunc.reduceat(x, offsets[:-1][full], axis=-1)
-    return out.tolist()
+    return out
 
 
 def _degree_stats(u: _Union):
     """Degree statistics of every graph of ``u`` in one pass.
 
     Returns per-vertex int64 arrays ``d``, ``d_neg`` and ``nds`` (sum of the
-    neighbors' degrees) over the union, and a dict of per-graph lists:
+    neighbors' degrees) over the union, and a dict of per-graph arrays:
     ``s1``-``s3`` (degree power sums), ``max_deg``, ``edge_deg_min`` and
     ``edge_deg_max`` (extremes of d_i + d_j - 2 over edges, 0 without an
     edge) and ``net1``-``net3``, the exact moments x^T L^k x at x = all-ones
@@ -339,8 +342,9 @@ def _degree_stats(u: _Union):
     top = int(d.max())
     wide = _exact_dtype(16 * top * top * len(u.i))
     dw, nw = d.astype(wide), d_neg.astype(wide)
+    dsq, nsq = dw * dw, nw * nw
     s1, s2, s3, n1, n2, n3 = _segments(
-        np.add, np.stack((dw, dw * dw, dw ** 3, nw, nw * nw, dw * nw * nw)), u.voff)
+        np.add, np.array((dw, dsq, dsq * dw, nw, nsq, dw * nsq)), u.voff)
     cross = _segments(np.add, u.sign.astype(wide) * nw[u.i] * nw[u.j], u.eoff)
     edge_deg = d[u.i] + d[u.j] - 2
     return d, d_neg, nds, {
@@ -348,9 +352,9 @@ def _degree_stats(u: _Union):
         "max_deg": _segments(np.maximum, d, u.voff),
         "edge_deg_min": _segments(np.minimum, edge_deg, u.eoff),
         "edge_deg_max": _segments(np.maximum, edge_deg, u.eoff),
-        "net1": [2 * x for x in n1],
-        "net2": [4 * x for x in n2],
-        "net3": [4 * x - 8 * c for x, c in zip(n3, cross)],
+        "net1": 2 * n1,
+        "net2": 4 * n2,
+        "net3": 4 * n3 - 8 * cross,
     }
 
 
@@ -358,8 +362,8 @@ def _degree_stats(u: _Union):
 _BITS_SET = np.array([byte.bit_count() for byte in range(256)], dtype=np.uint8)
 
 
-def _triangle_counts(u: _Union) -> tuple[list, list]:
-    """(t_pos, t_neg) of every graph of ``u``, counted from the 0/1
+def _triangle_counts(u: _Union) -> np.ndarray:
+    """Rows t_pos and t_neg of every graph of ``u``, counted from the 0/1
     adjacency of each sign, never from a Laplacian.
 
     Row v of p (n) holds v's 0/1 adjacency to its positive (negative)
@@ -377,9 +381,11 @@ def _triangle_counts(u: _Union) -> tuple[list, list]:
     common = np.empty((2, len(u.i)), dtype=np.int64)  # same-sign, opposite-sign
     step = max(1, _BATCH_ELEMENTS // rows.shape[2])
     for lo in range(0, len(u.i), step):
-        (pi, ni), (pj, nj) = rows[:, u.i[lo:lo + step]], rows[:, u.j[lo:lo + step]]
-        bits = np.stack(((pi & pj) | (ni & nj), (pi & nj) | (ni & pj)))
-        common[:, lo:lo + step] = _BITS_SET[bits].sum(axis=2, dtype=np.int64)
+        # take, not rows[:, index]: numpy's fancy indexing copies each
+        # row's few bytes in a slow general loop.
+        (pi, ni), (pj, nj) = (rows.take(ends[lo:lo + step], axis=1) for ends in (u.i, u.j))
+        bits = np.array(((pi & pj) | (ni & nj), (pi & nj) | (ni & pj)))
+        common[:, lo:lo + step] = _BITS_SET.take(bits).sum(axis=2, dtype=np.int64)
     # A negative edge flips the sign of its triangles.
     return _segments(np.add, np.where(u.sign > 0, common, common[::-1]), u.eoff)
 
@@ -388,16 +394,16 @@ def _triangle_counts(u: _Union) -> tuple[list, list]:
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
     d, d_neg, nds, sums = _degree_stats(_Union.of([g]))
-    extremes = (sums["edge_deg_min"][0], sums["edge_deg_max"][0]) if g.m else (None, None)
+    one = {key: column.tolist()[0] for key, column in sums.items()}
+    extremes = (one["edge_deg_min"], one["edge_deg_max"]) if g.m else (None, None)
     return DegreeProfile(tuple(d.tolist()), tuple(d_neg.tolist()), tuple(nds.tolist()),
-                         sums["s1"][0], sums["s2"][0], sums["s3"][0], sums["max_deg"][0],
-                         *extremes)
+                         one["s1"], one["s2"], one["s3"], one["max_deg"], *extremes)
 
 
 @cached_on_graph
 def triangle_stats(g: SignedGraph) -> TriangleStats:
     """Count triangles and their signs (see :func:`_triangle_counts`)."""
-    (t_pos,), (t_neg,) = _triangle_counts(_Union.of([g]))
+    (t_pos,), (t_neg,) = _triangle_counts(_Union.of([g])).tolist()
     return TriangleStats(t=t_pos + t_neg, t_pos=t_pos, t_neg=t_neg, t_net=t_pos - t_neg)
 
 

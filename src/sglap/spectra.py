@@ -45,19 +45,26 @@ def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray, dtype) -> np
     so a 0 drops the edge, and D_ii counts i's edges of nonzero weight.
     Returns a (len(weights), len(graphs), n, n) stack of ``dtype``."""
     n = int(u.n[graphs[0]])
-    slot = np.full(len(u.n), -1)
-    slot[graphs] = np.arange(len(graphs))
-    at = slot[u.egraph]
-    keep = at >= 0
-    at, i, j, w = at[keep], u.li[keep], u.lj[keep], weights[:, keep]
+    if len(graphs) == len(u.n):  # every graph of u, in order
+        at, i, j, w = u.egraph, u.li, u.lj, weights
+    else:
+        slot = np.full(len(u.n), -1)
+        slot[graphs] = np.arange(len(graphs))
+        at = slot[u.egraph]
+        keep = at >= 0
+        at, i, j, w = at[keep], u.li[keep], u.lj[keep], weights[:, keep]
     stack = np.zeros((len(w), len(graphs), n, n), dtype=dtype)
-    stack[:, at, i, j] = stack[:, at, j, i] = -w
-    layer = (np.arange(len(w))[:, None] * len(graphs) + at) * n
-    ends = np.concatenate(((layer + i).ravel(), (layer + j).ravel()))
+    # Each edge's two rows, numbered across the stack, per weight row; the
+    # entries are written through flat indices, which numpy scatters faster
+    # than a multi-axis index.
+    rows = np.arange(len(w))[:, None] * (len(graphs) * n) + at * n
+    row_i, row_j = rows + i, rows + j
+    flat = stack.reshape(-1)
+    flat[(row_i * n + j).ravel()] = flat[(row_j * n + i).ravel()] = -w.ravel()
     nonzero = np.abs(w).ravel()
-    degree = np.bincount(ends, np.concatenate((nonzero, nonzero)), stack[..., 0].size)
-    diagonal = np.arange(n)
-    stack[..., diagonal, diagonal] = degree.reshape(stack.shape[:3])
+    degree = np.bincount(np.concatenate((row_i.ravel(), row_j.ravel())),
+                         np.concatenate((nonzero, nonzero)), len(flat) // n)
+    stack.reshape(len(w), len(graphs), n * n)[..., ::n + 1] = degree.reshape(stack.shape[:3])
     return stack
 
 
@@ -101,29 +108,34 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, list]:
-    """Spectra of every graph of ``u``, as per-graph lists.
+def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Spectra of every graph of ``u``, as arrays.
 
-    ``spectrum`` is the spectrum of L, a tuple; ``top_abs``, ``top_pos``
-    and ``top_neg`` are the largest eigenvalues of |L|, the Laplacian of the
-    all-negative signing, and of L+ and L-, the Laplacians of the positive
-    and of the negative edges (L = L+ + L-).  With ``switched``, a sign per
-    edge of ``u``, ``switch_diff`` is the largest gap between L's spectrum
-    and that of L with those signs, and ``matrix_traces`` is
-    (tr L, tr L^2, tr L^3) by exact integer matrix products.  All these
-    matrices of the graphs of one order are solved as one stack by one
-    ``_eigvalsh`` call, in chunks of as many graphs as keep the stack within
-    ``_BATCH_ELEMENTS`` entries; where one graph's matrices alone pass it,
-    they are solved as few at a time as fit (at least one).
+    ``spectra`` holds the ascending spectrum of each graph's L at the
+    graph's vertex range of the union (``u.voff``); ``top_abs``,
+    ``top_pos`` and ``top_neg`` hold, per graph, the largest eigenvalues of
+    |L|, the Laplacian of the all-negative signing, and of L+ and L-, the
+    Laplacians of the positive and of the negative edges (L = L+ + L-).
+    With ``switched``, a sign per edge of ``u``, ``switch_diff`` is each
+    graph's largest gap between L's spectrum and that of L with those
+    signs, and ``matrix_traces`` its row (tr L, tr L^2, tr L^3) by exact
+    integer matrix products.  All these matrices of the graphs of one order
+    are solved as one stack by one ``_eigvalsh`` call, in chunks of as many
+    graphs as keep the stack within ``_BATCH_ELEMENTS`` entries; where one
+    graph's matrices alone pass it, they are solved as few at a time as fit
+    (at least one).
     """
-    out = {key: [None] * len(u.n) for key in ("spectrum", "top_abs", "top_pos", "top_neg")}
+    count = len(u.n)
+    out = {"spectra": np.empty(len(u.vgraph)), "top_abs": np.empty(count),
+           "top_pos": np.empty(count), "top_neg": np.empty(count)}
     weights = [u.sign, np.full_like(u.sign, -1), np.maximum(u.sign, 0), np.minimum(u.sign, 0)]
     if switched is not None:
-        out["switch_diff"], out["matrix_traces"] = [None] * len(u.n), [None] * len(u.n)
+        out["switch_diff"] = np.empty(count)
+        out["matrix_traces"] = np.empty((count, 3), dtype=np.int64)
         weights.append(switched)
-    weights = np.stack(weights)
+    weights = np.array(weights)
     for n in sorted(set(u.n.tolist())):
-        group = np.flatnonzero(u.n == n)
+        group = (u.n == n).nonzero()[0]
         size = max(1, _BATCH_ELEMENTS // (len(weights) * n * n))
         for graphs in (group[k:k + size] for k in range(0, len(group), size)):
             kinds = max(1, _BATCH_ELEMENTS // (len(graphs) * n * n))
@@ -135,16 +147,14 @@ def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, l
                 eigs.append(_eigvalsh(mats))
                 del mats  # before the next chunk is built
             eigs = eigs[0] if len(eigs) == 1 else np.concatenate(eigs)
-            rows = [list(map(tuple, eigs[0].tolist())), *eigs[1:4, :, -1].tolist()]
+            out["spectra"][u.voff[graphs, None] + np.arange(n)] = eigs[0]
+            out["top_abs"][graphs], out["top_pos"][graphs], out["top_neg"][graphs] = eigs[1:4, :, -1]
             if switched is not None:
                 square = lap @ lap
-                rows.append(np.abs(eigs[0] - eigs[4]).max(axis=1).tolist())
-                rows.append(list(map(tuple, np.stack((
-                    np.trace(lap, axis1=1, axis2=2), np.trace(square, axis1=1, axis2=2),
-                    (square * lap).sum(axis=(1, 2))), axis=1).tolist())))
-            for k, b in enumerate(graphs.tolist()):
-                for key, row in zip(out, rows):
-                    out[key][b] = row[k]
+                out["switch_diff"][graphs] = np.abs(eigs[0] - eigs[4]).max(axis=1)
+                out["matrix_traces"][graphs] = np.array((
+                    lap.trace(axis1=1, axis2=2), square.trace(axis1=1, axis2=2),
+                    np.add.reduce(square * lap, axis=(1, 2)))).T
     return out
 
 
@@ -190,4 +200,4 @@ def rayleigh_moment(g: SignedGraph, k: int) -> int:
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k!r}")
-    return _degree_stats(_Union.of([g]))[3][f"net{k}"][0]
+    return _degree_stats(_Union.of([g]))[3][f"net{k}"].tolist()[0]

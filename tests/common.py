@@ -6,7 +6,8 @@ component counts from a fresh BFS, eigenvalues from a cyclic Jacobi
 iteration (the package itself calls LAPACK), and parsed graphs from a
 straightforward line-by-line parser.  ``oracle_generate`` and
 ``oracle_verify`` are the scalar generator and the trial-by-trial
-verification loop the package ran before it batched them.
+verification loop the package ran before it batched them, and
+``oracle_evaluation`` the scalar catalog rows the batch catalog replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import math
 import re
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from dataclasses import replace
 from sglap import (
     RANK_TOL,
     BalanceInfo,
+    BoundResult,
     GenerationError,
     GeneratorConfig,
     GraphFormatError,
@@ -524,3 +527,76 @@ def oracle_verify(cfg: GeneratorConfig, trials: int, tol: float) -> Verification
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))
     return VerificationReport(trials, tuple(failures), tuple(identity))
+
+
+# The signed catalog as scalar formulas on one graph's facts, in catalog
+# order: (bound_id, direction, ((hypothesis, guard reason), ...), formula).
+# Python int and float arithmetic throughout: math.sqrt, int / int and
+# float ** (1/3).
+_CONNECTED = (lambda f: f.connected, "graph not connected")
+_AN_EDGE = (lambda f: f.m > 0, "at least one edge required")
+_ORACLE_ROWS = (
+    ("LB-NET-1", "lower", (_CONNECTED,), lambda f: f.net1 / f.n),
+    ("LB-NET-2", "lower", (_CONNECTED,), lambda f: math.sqrt(f.net2 / f.n)),
+    ("LB-NET-3", "lower", (_CONNECTED,),
+     lambda f: (_oracle_nonnegative(f.net3, "cubic moment", " on a PSD matrix") / f.n)
+     ** (1.0 / 3.0)),
+    ("UB-WANG-EDGE", "upper", (_CONNECTED, _AN_EDGE),
+     lambda f: (2.0 + math.sqrt(f.wang) if f.wang_bad is None
+                else _oracle_nonnegative(f.wang_bad, "inner term"))),
+    ("UB-WANG-GLOBAL", "upper", (_CONNECTED, (lambda f: f.n > 2, "order n <= 2")),
+     lambda f: 2.0 + math.sqrt(_oracle_nonnegative(
+         f.s2 - 2 * f.m - (f.m - 1) * f.edge_deg_min + (f.edge_deg_min - 1) * f.edge_deg_max))),
+    ("UB-RANK", "upper", (_AN_EDGE,),
+     lambda f: (f.s1 + math.sqrt(_oracle_nonnegative(
+         (f.rank - 1) * (f.rank * (f.s1 + f.s2) - f.s1 * f.s1)))) / f.rank),
+    ("LB-TR-1", "lower", ((lambda f: f.rank >= 2, "b > n-2"),),
+     lambda f: math.sqrt(abs(f.p1 * f.p1 - f.p2) / (f.rank * (f.rank - 1)))),
+    ("LB-TR-2", "lower", ((lambda f: f.rank >= 3, "b > n-3"),),
+     lambda f: (abs(2 * f.p3 - 3 * f.p2 * f.p1 + f.p1 ** 3)
+                / (f.rank * (f.rank - 1) * (f.rank - 2))) ** (1.0 / 3.0)),
+    ("LB-TR-3", "lower", ((lambda f: f.rank >= 2, "rank n-b < 2"),),
+     lambda f: (abs(f.p1 * f.p2 - f.p3) / (f.rank * (f.rank - 1))) ** (1.0 / 3.0)),
+    ("UB-ALLNEG", "upper", (_CONNECTED,), lambda f: f.top_abs),
+    ("LB-INTERLACE", "lower", (), lambda f: max(f.top_pos, f.top_neg)),
+    ("KB-1", "upper", (_CONNECTED, _AN_EDGE), lambda f: f.kb1),
+    ("KB-2", "upper", (_CONNECTED, _AN_EDGE),
+     lambda f: (2.0 + math.sqrt(f.kb2) if f.kb2_bad is None else _oracle_nonnegative(
+         f.kb2_bad[0], where=" on edge {},{}".format(*f.kb2_bad[1:])))),
+    ("KB-3", "upper", (_CONNECTED, _AN_EDGE), lambda f: f.kb3),
+    ("KB-4", "upper", (_CONNECTED, _AN_EDGE), lambda f: f.kb4),
+    ("KB-5", "lower", (_CONNECTED, _AN_EDGE), lambda f: f.max_deg + 1.0),
+)
+
+
+class _OracleNegative(Exception):
+    pass
+
+
+def _oracle_nonnegative(x, what="radicand", where=""):
+    if x < 0:
+        raise _OracleNegative(f"{what} {x} < 0{where}")
+    return x
+
+
+def oracle_evaluation(f) -> tuple[BoundResult, ...]:
+    """The signed catalog on ``f``, a batch of one of ``bounds._batch_facts``,
+    row by row with the scalar formulas the array rows replaced, on its
+    entries as Python ints and floats.  A negative radicand or moment
+    raises ``InternalInconsistencyError`` with the catalog's message."""
+    (one,) = zip(*(column.tolist() for key, column in vars(f).items() if key != "spectra"))
+    g = SimpleNamespace(**dict(zip([key for key in vars(f) if key != "spectra"], one)))
+    g.wang_bad = g.wang_bad or None
+    g.kb2_bad = (g.kb2_bad, *g.kb2_at) if g.kb2_bad else None
+    results = []
+    for bound_id, direction, needs, formula in _ORACLE_ROWS:
+        reason = next((reason for holds, reason in needs if not holds(g)), None)
+        if reason is not None:
+            results.append(BoundResult(bound_id, direction, False, reason))
+            continue
+        try:
+            value = formula(g)
+        except _OracleNegative as err:
+            raise InternalInconsistencyError(f"{bound_id}: {err}") from None
+        results.append(BoundResult(bound_id, direction, True, "", float(value)))
+    return tuple(results)

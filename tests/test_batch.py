@@ -26,10 +26,11 @@ from sglap import (
     evaluate_all,
     generate,
     serialize_signed_graph,
+    triangle_stats,
     verify,
 )
 from sglap import bounds, harness, sgraph, spectra
-from sglap.bounds import _batch_facts, _evaluation
+from sglap.bounds import BoundEvaluation, _batch_facts, _results
 from sglap.sgraph import _exact_dtype, _Union, edge_arrays
 from test_sgraph import signed_graphs
 
@@ -161,7 +162,9 @@ MIXED = [K1, EMPTY3, K3M, K3P_K3N, SignedGraph.from_edges(4, [(1, 2, -1)]),
 
 
 def batch_evaluations(graphs):
-    return [_evaluation(f) for f in _batch_facts(_Union.of(graphs))]
+    """Each graph's evaluation, with the catalog run once on the whole batch."""
+    f = _batch_facts(_Union.of(graphs))
+    return [BoundEvaluation(results, f.spectrum(b)) for b, results in enumerate(_results(f))]
 
 
 class TestCompositionInvariance:
@@ -274,7 +277,7 @@ class TestExactAggregates:
         monkeypatch.setattr(bounds, "_exact_dtype", lambda b, limit=2 ** 63:
                             bounds_seen.append(b) or np.int64)
         _batch_facts(_Union.of([g]))
-        sum_bound, wang_bound = bounds_seen
+        sum_bound, catalog_bound, wang_bound = bounds_seen
         i, j, s = (c.tolist() for c in edge_arrays(g))
         d, dn = [0] * (g.n + 1), [0] * (g.n + 1)
         for a, b, sign in zip(i, j, s):
@@ -292,6 +295,18 @@ class TestExactAggregates:
         assert max(terms) <= sum_bound
         inner = [d[a] * nds[a] + d[b] * nds[b] - 2 * d[a] * d[b] for a, b in zip(i, j)]
         assert max((d[a] + d[b] - 2) * x for (a, b), x in zip(zip(i, j), inner)) <= wang_bound
+        # Every integer a catalog row derives, and each of its partial sums.
+        n, m, r = g.n, g.m, g.n - balance_info(g).balanced_count
+        s1, s2, s3 = (sum(x ** k for x in d) for k in (1, 2, 3))
+        p1, p2, p3 = s1, s2 + s1, s3 + 3 * s2 - 6 * triangle_stats(g).t_net
+        lo, hi = (degree_profile(g).edge_deg_min or 0), (degree_profile(g).edge_deg_max or 0)
+        derived = [2 * sum(dn), 4 * sum(x * x for x in dn), 4 * terms[1] - 8 * sum(
+            sign * dn[a] * dn[b] for a, b, sign in zip(i, j, s)),
+            s2 - 2 * m, s2 - 2 * m - (m - 1) * lo, s2 - 2 * m - (m - 1) * lo + (lo - 1) * hi,
+            r * (s1 + s2), r * (s1 + s2) - s1 * s1, (r - 1) * (r * (s1 + s2) - s1 * s1),
+            p1 * p1 - p2, 2 * p3 - 3 * p2 * p1, 2 * p3 - 3 * p2 * p1 + p1 ** 3, p1 * p2 - p3,
+            r * (r - 1) * (r - 2)]
+        assert max(map(abs, derived)) <= catalog_bound
 
     def test_python_int_path_gives_the_same_results(self, monkeypatch):
         graphs = MIXED + random_graphs(10, base_seed=16_700, n_min=20, n_max=40)

@@ -170,11 +170,13 @@ class TestVerifyCommand:
     def test_bound_assertion_names_its_seed(self, capsys, monkeypatch):
         from dataclasses import replace
 
+        import numpy as np
+
         from sglap import SplitMix64, bounds
 
         # The catalog's UB-RANK row, planted to hand the shared assert a
         # radicand of -1 on every graph with an edge.
-        planted = tuple(replace(row, formula=lambda f: bounds._nonnegative(-1))
+        planted = tuple(replace(row, formula=lambda f: bounds._nonnegative(np.full(len(f), -1)))
                         if row.bound_id == "UB-RANK" else row for row in bounds._CATALOG)
         monkeypatch.setattr(bounds, "_CATALOG", planted)
         code, out, err = run(capsys, ["verify", "--n", "5", "--edge-prob", "0.5",

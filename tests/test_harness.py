@@ -109,6 +109,15 @@ class TestVerify:
         with pytest.raises(ValueError, match="tol must be finite"):
             verify(cfg, 3, tol=tol)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("n, edge_prob", [(1, 0.0), (6, 0.0), (6, 1.0)])
+    def test_non_finite_tol_raises_whatever_the_graphs(self, tol, n, edge_prob):
+        # Also where no sandwich comparison runs (one vertex, no edges) and
+        # where every one would pass: the tolerance itself is refused.
+        cfg = GeneratorConfig(n=n, edge_prob=edge_prob, neg_prob=0.5, seed=3)
+        with pytest.raises(ValueError, match=r"^tol must be finite, got "):
+            verify(cfg, 2, tol=tol)
+
     def test_impossible_connected_config_raises(self):
         cfg = GeneratorConfig(n=4, edge_prob=0.0, neg_prob=0.5, seed=1,
                               require_connected=True)
