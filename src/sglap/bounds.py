@@ -133,10 +133,11 @@ def _graph_facts(g: SignedGraph) -> _Facts:
     return f
 
 
-# The integer columns the catalog's rows read, and those that bound every
-# integer the rows derive from them (see _batch_facts).
+# The integer columns the catalog's rows read; those that enter the rows'
+# products, and those that enter them only linearly (see _batch_facts).
 _EXACT = ("s1", "s2", "p1", "p2", "p3", "net1", "net2", "net3")
-_BOUNDING = (*_EXACT[1:], "n", "m", "edge_deg_max")
+_IN_PRODUCTS = ("s2", "p1", "p2", "n", "m", "edge_deg_min", "edge_deg_max")
+_LINEAR = ("p3", "net1", "net2", "net3")
 
 
 def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
@@ -153,12 +154,13 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
     operation by operation, on exact integers, so every value is
     bit-identical to it.
 
-    Every integer a catalog row derives is a polynomial in s1 = p1, s2,
-    p2, p3, the LB-NET moments, n, m, rank <= n and the edge-degree
-    extremes, of degree at most 3 and at most 6 W^3 for W the largest of
-    their magnitudes.  The rows' integer columns are int64 while that is
-    below 2^53, where numpy converts, divides and roots them as Python
-    does, and Python ints past it (``sgraph._exact_dtype``).
+    Every integer a catalog row derives is at most 5 Y^3 + 2 Z in
+    magnitude, for Y the largest magnitude among s1 = p1, s2, p2, n >= rank,
+    m and the edge-degree extremes, which enter products of up to three,
+    and Z the largest among p3 and the LB-NET moments, which enter only
+    linearly.  The rows' integer columns are int64 while that is below
+    2^53, where numpy converts, divides and roots them as Python does, and
+    Python ints past it (``sgraph._exact_dtype``).
     """
     d, _, nds, sums = _degree_stats(u)
     t_pos, t_neg = _triangle_counts(u)
@@ -167,8 +169,9 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
     p1, p2, p3 = _power_traces(facts["s1"], facts["s2"], facts["s3"], t_pos - t_neg)
     facts.update(n=u.n, m=u.m, connected=components == 1, rank=u.n - balanced,
                  p1=p1, p2=p2, p3=p3, first=u.voff[:-1])
-    top = int(np.abs(np.concatenate([facts[key] for key in _BOUNDING])).max())
-    if _exact_dtype(6 * top ** 3, 2 ** 53) is object:
+    y, z = (int(np.abs(np.concatenate([facts[key] for key in keys])).max())
+            for keys in (_IN_PRODUCTS, _LINEAR))
+    if _exact_dtype(5 * y ** 3 + 2 * z, 2 ** 53) is object:
         facts.update({key: np.asarray(facts[key], dtype=object) for key in _EXACT})
     di, dj, si, sj = d[u.i], d[u.j], nds[u.i], nds[u.j]
     # d * nds <= max_deg^3 < 2^60; the UB-WANG-EDGE numerator, at most
