@@ -4,6 +4,11 @@ Subcommands: bounds, spectrum, report, verify, switch-check.  The env var
 SG_TOL overrides the default 1e-9 comparison tolerance; it must be a finite,
 non-negative number.  Identical flags and seed produce identical output on
 one machine, and at the default 3 decimals across machines.
+
+Every command that reads edge-list files reads them through
+:func:`_load_all`, which loads them concurrently: one thread per CPU this
+process may run on, but no more than one per file and one per 64 KiB of
+input.  It reports the first input, in argument order, that fails to load.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 from .balance import switching_equivalent
@@ -29,8 +35,65 @@ def _load(path: str) -> SignedGraph:
     return parse_signed_graph(Path(path).read_text(encoding="utf-8-sig"))
 
 
+# Input bytes each thread of _load_all must have to parse.  A small file's
+# parse holds the GIL for most of its time, so a second thread only waits
+# for it: two 49 KB files loaded up to 70% slower on two threads than on one,
+# two 109 KB files 15-40% faster (2-vCPU machine).
+_BYTES_PER_THREAD = 1 << 16
+
+
+def _load_all(paths: list[str]) -> list[SignedGraph]:
+    """The graphs in ``paths``, in order, loaded on ``w`` threads at once.
+
+    ``w`` is the number of CPUs this process may run on, at most one per
+    path and one per ``_BYTES_PER_THREAD`` bytes of input, and at least 1.
+    The calling thread loads ``paths[0::w]`` and worker k, for k from 1 to
+    w - 1, ``paths[k::w]``: the parser spends its heavy steps in numpy,
+    which releases the GIL.  Every worker is joined before this returns or
+    raises.  If some path fails to load, the exception of the first such
+    path in argument order is raised unchanged, as a loop over the paths
+    would raise it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    size = 0
+    for path in paths:
+        try:
+            size += os.stat(path).st_size
+        except OSError:
+            pass  # its load reports the error
+    w = max(1, min(len(paths), cpus, size // _BYTES_PER_THREAD))
+    loaded: list = [None] * len(paths)  # a graph, or the exception its path raised
+
+    def load(k: int) -> None:
+        for index in range(k, len(paths), w):
+            try:
+                loaded[index] = _load(paths[index])
+            except Exception as exc:
+                # Later paths of this stride come after it in argument order.
+                loaded[index] = exc
+                return
+
+    workers = []
+    try:
+        for k in range(1, w):
+            worker = threading.Thread(target=load, args=(k,))
+            worker.start()
+            workers.append(worker)
+        load(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for result in loaded:
+        if isinstance(result, Exception):
+            raise result
+    return loaded
+
+
 def _cmd_bounds(args, tol: float) -> int:
-    g = _load(args.input)
+    (g,) = _load_all([args.input])
     ev = evaluate_all(g, tol=tol)
     rows = [("lambda_max", "exact", format_value(ev.lambda_max, args.full_precision), "")]
     rows += [(r.bound_id, r.direction, format_value(r.value, args.full_precision),
@@ -40,7 +103,7 @@ def _cmd_bounds(args, tol: float) -> int:
 
 
 def _cmd_spectrum(args, tol: float) -> int:
-    g = _load(args.input)
+    (g,) = _load_all([args.input])
     spectrum = eigenvalues(laplacian(g))
     # An eigenvalue that is 0 in exact arithmetic comes back as rounding
     # residue whose digits depend on the LAPACK build; print it as 0.
@@ -50,7 +113,7 @@ def _cmd_spectrum(args, tol: float) -> int:
 
 
 def _cmd_report(args, tol: float) -> int:
-    graphs = [_load(path) for path in args.inputs]
+    graphs = _load_all(args.inputs)
     names = [Path(path).stem for path in args.inputs]
     sys.stdout.write(report(graphs, fmt=args.format, names=names,
                             full_precision=args.full_precision))
@@ -81,8 +144,7 @@ def _cmd_verify(args, tol: float) -> int:
 
 
 def _cmd_switch_check(args, tol: float) -> int:
-    g1 = _load(args.a)
-    g2 = _load(args.b)
+    g1, g2 = _load_all([args.a, args.b])
     verdict = switching_equivalent(g1, g2)
     print(f"switching-equivalent: {'yes' if verdict.equivalent else 'no'}")
     if verdict.witness is not None:

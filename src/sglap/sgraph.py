@@ -477,12 +477,18 @@ def _parse_serialized(raw: bytes, signs: np.ndarray) -> SignedGraph:
         raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     pairs = flat[1:].reshape(-1, 2)
     # Smaller index first, then the edges sorted by (i, j) through one int64
-    # key: n has at most 7 digits.
+    # key (n has at most 7 digits), unless they already ascend, as the
+    # serializer writes them.  A repeated pair ends up next to its twin,
+    # where the constructor's ascending check refuses it.
     i, j = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     sign = ord(",") - signs.astype(np.int64)  # "+" and "-" flank ","
     del flat, pairs
-    i, j, sign = _read_only_columns(np.column_stack((i, j, sign))[np.argsort(i * (n + 1) + j)])
-    return SignedGraph._from_edge_arrays(n, i, j, sign)
+    edges = np.column_stack((i, j, sign))
+    key = i * (n + 1) + j
+    if (key[1:] <= key[:-1]).any():
+        edges = edges[np.argsort(key)]
+    del i, j, sign, key
+    return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges))
 
 
 def _parse_lines(text: str) -> SignedGraph:

@@ -3,6 +3,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +291,166 @@ class TestHostileSizes:
                                       "--b", graph_file("n", K3N)])
         assert code == 2 and not out
         assert err == "error: MemoryError\n"
+
+
+class TestLoadAll:
+    """Input files load concurrently, one thread per CPU, but never more than
+    one per file or per ``_BYTES_PER_THREAD`` bytes of input; the first bad
+    input in argument order is reported, with the message and exit code a
+    one-by-one loop gives."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPU count; any input is then large enough for a thread."""
+        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", 1)
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+
+        return set_cpus
+
+    @pytest.fixture
+    def load_threads(self, monkeypatch):
+        """The threads that call ``_load``, each once."""
+        threads = set()
+        load = sglap.cli._load
+
+        def recorded(path):
+            threads.add(threading.current_thread())
+            return load(path)
+
+        monkeypatch.setattr("sglap.cli._load", recorded)
+        return threads
+
+    @pytest.fixture
+    def bad_files(self, tmp_path):
+        a, b = tmp_path / "a.sg", tmp_path / "b.sg"
+        a.write_text("n 2\n1 2\n", encoding="utf-8")
+        b.write_text("n 3\n1 2 +\n3 3 -\n", encoding="utf-8")
+        return str(a), str(b)
+
+    @pytest.mark.parametrize("b_missing", [False, True])
+    def test_both_inputs_bad_reports_a(self, capsys, cpus, bad_files, tmp_path, b_missing):
+        cpus(2)
+        b = str(tmp_path / "missing.sg") if b_missing else bad_files[1]
+        code, out, err = run(capsys, ["switch-check", "--a", bad_files[0], "--b", b])
+        assert (code, out, err) == (2, "", "error: line 2: missing sign token\n")
+
+    def test_only_b_bad_reports_b(self, capsys, cpus, graph_file, bad_files):
+        cpus(2)
+        code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
+                                      "--b", bad_files[1]])
+        assert (code, out, err) == (2, "", "error: line 3: self-loop at vertex 3\n")
+
+    def test_missing_file(self, capsys, cpus, graph_file, tmp_path):
+        cpus(2)
+        missing = str(tmp_path / "missing.sg")
+        code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
+                                      "--b", missing])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+    def test_memory_error_in_a_worker_thread(self, capsys, cpus, graph_file, monkeypatch):
+        cpus(2)
+        a, b = graph_file("m", K3M), graph_file("n", K3N)
+        raised_on = []
+        load = sglap.cli._load
+
+        def exhausted(path):
+            if path != b:
+                return load(path)
+            raised_on.append(threading.current_thread())
+            raise MemoryError
+
+        monkeypatch.setattr("sglap.cli._load", exhausted)
+        code, out, err = run(capsys, ["switch-check", "--a", a, "--b", b])
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_report_runs_at_most_one_load_per_cpu(self, capsys, cpus, graph_file,
+                                                  monkeypatch, count):
+        paths = [graph_file(f"g{k}", g) for k, g in enumerate((K3M, K3N, K3P, P3P, K3M))]
+        argv = ["report", "--format", "csv", "--inputs", *paths]
+        cpus(1)
+        serial = run(capsys, argv)
+        cpus(count)
+        load = sglap.cli._load
+        lock = threading.Lock()
+        active, peak, threads = [0], [0], set()
+
+        def counted(path):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                threads.add(threading.current_thread())
+            try:
+                time.sleep(0.02)  # long enough for the other threads to start theirs
+                return load(path)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr("sglap.cli._load", counted)
+        before = threading.active_count()
+        assert run(capsys, argv) == serial
+        assert serial[0] == 0 and serial[1]
+        assert threading.active_count() == before
+        assert len(threads) == count and peak[0] <= count
+
+    def test_one_input_starts_no_thread(self, capsys, cpus, graph_file, monkeypatch):
+        cpus(8)
+
+        def unstartable(*args, **kwargs):
+            raise AssertionError("a thread was started for a single input")
+
+        monkeypatch.setattr(threading, "Thread", unstartable)
+        code, out, err = run(capsys, ["spectrum", "--input", graph_file("p3p", P3P)])
+        assert code == 0 and out and not err
+
+    def test_without_affinity_uses_the_cpu_count(self, capsys, graph_file, monkeypatch,
+                                                 load_threads):
+        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        code, out, _ = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
+                                    "--b", graph_file("n", K3N)])
+        assert code == 0 and "switching-equivalent: yes" in out
+        assert load_threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("blocks, threads", [(1, 1), (2, 2), (3, 2)])
+    def test_one_thread_per_block_of_input(self, capsys, graph_file, monkeypatch,
+                                           load_threads, blocks, threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        paths = [graph_file("m", K3M), graph_file("n", K3N)]
+        size = sum(os.path.getsize(path) for path in paths)
+        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", size // blocks)
+        code, out, _ = run(capsys, ["switch-check", "--a", paths[0], "--b", paths[1]])
+        assert code == 0 and "switching-equivalent: yes" in out
+        assert len(load_threads) == threads
+
+    def test_small_inputs_load_on_the_calling_thread(self, capsys, graph_file, monkeypatch,
+                                                     load_threads):
+        # As in a report over a few small graphs: a second thread would only
+        # wait for the GIL.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        paths = [graph_file(f"g{k}", g) for k, g in enumerate((K3M, K3N, K3P, P3P))]
+        code, out, _ = run(capsys, ["report", "--inputs", *paths])
+        assert code == 0 and out
+        assert load_threads == {threading.main_thread()}
+
+
+def test_import_loads_no_executor_module():
+    # Importing concurrent.futures costs several ms of every process start;
+    # the CLI's loader needs only threading, which numpy already imports.
+    env = {**os.environ, "PYTHONPATH": str(Path(sglap.__file__).parents[1])}
+    probe = ("import sys, sglap.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestTolOverride:

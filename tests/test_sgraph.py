@@ -466,6 +466,33 @@ class TestParser:
         with pytest.raises(GraphFormatError, match=f"line {len(lines) + 1}: duplicate edge"):
             parse_signed_graph(text + body[0])
 
+    def test_edge_order_does_not_change_the_graph(self, monkeypatch):
+        g = generate(GeneratorConfig(n=200, edge_prob=0.1, neg_prob=0.5, seed=17))
+        text = serialize_signed_graph(g)
+        header, *body = text.splitlines(keepends=True)
+        rng = random.Random(17)
+        rng.shuffle(body)
+        shuffled = header + "".join("{1} {0} {2}\n".format(*line.split())
+                                    if rng.random() < 0.5 else line for line in body)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        ascending = parse_signed_graph(text)
+        assert not sorts  # the serializer's order is kept as it is
+        got = parse_signed_graph(shuffled)
+        assert sorts and "edges" not in got.__dict__
+        assert got == ascending == g
+        for x, y in zip(edge_arrays(got), edge_arrays(ascending)):
+            assert np.array_equal(x, y) and not x.flags.writeable
+
+    @pytest.mark.parametrize("twin", ["2 3 -\n", "3 2 +\n"])
+    def test_planted_duplicate_in_ascending_text(self, twin):
+        text = "n 4\n1 2 +\n2 3 +\n" + twin + "3 4 -\n"
+        with pytest.raises(GraphFormatError) as got:
+            parse_signed_graph(text)
+        assert str(got.value) == "line 4: duplicate edge 2 3 (first on line 3)"
+        assert got.value.line_no == 4
+
     def test_switch_check_and_spectrum_leave_the_edge_set_unbuilt(self):
         g = generate(GeneratorConfig(n=80, edge_prob=0.1, neg_prob=0.5, seed=13))
         theta = tuple(random.Random(13).choice((1, -1)) for _ in range(g.n))
