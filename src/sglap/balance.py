@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .sgraph import SignedGraph, _Union, cached_on_graph, edge_arrays
+from .sgraph import SignedGraph, _Union, edge_arrays
 
 __all__ = [
     "BalanceInfo",
@@ -68,7 +68,6 @@ def switch(g: SignedGraph, th: tuple[int, ...]) -> SignedGraph:
     return g._resigned(th[i - 1] * sign * th[j - 1])
 
 
-@cached_on_graph
 def balance_info(g: SignedGraph) -> BalanceInfo:
     """:class:`BalanceInfo` of ``g``, read off its signed double cover
     (:func:`_cover_reading`)."""

@@ -33,8 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .balance import _balance_counts
-from .sgraph import (SignedGraph, _degree_stats, _exact_dtype, _segments, _triangle_counts,
-                     _Union, cached_on_graph)
+from .sgraph import SignedGraph, _degree_stats, _exact_dtype, _segments, _triangle_counts, _Union
 from .spectra import _batch_spectra, _power_traces, sign_all
 
 __all__ = [
@@ -120,17 +119,9 @@ class _Facts:
 
 
 def _facts(g) -> _Facts:
-    """The facts of ``g``: a graph's batch of one, memoised on it, or
+    """The facts of ``g``: a graph's batch of one, computed afresh, or
     ``g`` itself when a batch already computed them."""
-    return g if isinstance(g, _Facts) else _graph_facts(g)
-
-
-@cached_on_graph
-def _graph_facts(g: SignedGraph) -> _Facts:
-    f = _batch_facts(_Union.of([g]))
-    for column in vars(f).values():
-        column.setflags(write=False)
-    return f
+    return g if isinstance(g, _Facts) else _batch_facts(_Union.of([g]))
 
 
 # The integer columns the catalog's rows read; those that enter the rows'
@@ -347,7 +338,9 @@ SIGNED_CATALOG: tuple[str, ...] = tuple(row.bound_id for row in _CATALOG)
 
 
 def _bound_function(name: str) -> Callable[[SignedGraph], BoundResult]:
-    """The public function ``name``: its row on a graph or on one graph's facts."""
+    """The public function ``name``: its row on a graph, whose facts each call
+    computes afresh (:func:`evaluate_all` gives every row from one), or on
+    one graph's facts."""
     (row,) = [row for row in _CATALOG if row.function == name]
 
     def bound(g: SignedGraph) -> BoundResult:
@@ -355,7 +348,8 @@ def _bound_function(name: str) -> Callable[[SignedGraph], BoundResult]:
         return result
 
     bound.__name__ = bound.__qualname__ = name
-    bound.__doc__ = f"{row.bound_id}: {row.doc}"
+    bound.__doc__ = (f"{row.bound_id}: {row.doc}\n\n    Each call evaluates ``g`` afresh; "
+                     "``evaluate_all`` gives\n    every bound from one evaluation.")
     return bound
 
 
@@ -376,8 +370,9 @@ _CLASSIC = tuple(row for row in _CATALOG if row.function == "classic_bounds")
 
 def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
     """KB-1..KB-4 (upper) and KB-5 (lower), all on connected graphs with an
-    edge.  They read only degrees d and neighbor-degree sums nds (d_i m_i,
-    with m_i the average 2-degree), which stay exact integers:"""
+    edge, from one evaluation of ``g`` made afresh on each call.  They read
+    only degrees d and neighbor-degree sums nds (d_i m_i, with m_i the
+    average 2-degree), which stay exact integers:"""
     (results,) = _results(_facts(g), _CLASSIC)
     return results
 

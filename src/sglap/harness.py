@@ -322,35 +322,32 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         except _Negative as exc:
             raise InternalInconsistencyError(
                 f"trial={first + exc.graph} seed={g_seeds[exc.graph]}: {exc}") from exc
-        # Each check as a mask over the batch, with the scalar comparisons.
+        # Each check as a mask over the batch.
         lmax = f.lambda_max
         sandwich = applicable & np.where(_LOWER_ROWS, values > lmax + tol, values < lmax - tol)
         want = np.array((f.p1, f.p2, f.p3)).T
         traces = f.matrix_traces != want
         num_rank = (f.spectra.reshape(len(g_seeds), cfg.n) > RANK_TOL).sum(axis=1)
+        rank = num_rank != f.rank
         switching = f.switch_diff > tol
-        failed = sandwich.any(axis=0) | traces.any(axis=1) | (num_rank != f.rank) | switching
-        # (check_id, value, reference, magnitude); the graph text is made
-        # only for a trial that has something to report.
-        for b in failed.nonzero()[0].tolist():
-            bad = []
-            for k in np.flatnonzero(sandwich[:, b]).tolist():
-                value, top = float(values[k, b]), float(lmax[b])
-                bad.append((SIGNED_CATALOG[k], value, top,
-                            value - top if _LOWER_ROWS[k, 0] else top - value))
-            bad_identity = [(f"trace-{k + 1}", float(got), float(ref), float(abs(got - ref)))
-                            for k, (got, ref) in enumerate(zip(f.matrix_traces[b].tolist(),
-                                                               want[b].tolist())) if got != ref]
-            got, ref = int(num_rank[b]), int(f.rank[b])
-            if got != ref:
-                bad_identity.append(("rank", float(got), float(ref), float(abs(got - ref))))
-            if switching[b]:
-                diff = float(f.switch_diff[b])
-                bad_identity.append(("switching", diff, 0.0, diff))
-            text = serialize_signed_graph(u.graph(b))
-            trial, g_seed = first + b, g_seeds[b]
-            failures += [Violation(trial, g_seed, text, *v) for v in bad]
-            identity += [Violation(trial, g_seed, text, *v) for v in bad_identity]
+        failed = sandwich.any(axis=0) | traces.any(axis=1) | rank | switching
+        if not failed.any():
+            continue
+        # (target, check_id, mask, value, reference, magnitude) rows over the
+        # batch; integer magnitudes are exact before they become floats.
+        over = np.where(_LOWER_ROWS, values - lmax, lmax - values)
+        checks = [(failures, bound_id, sandwich[k], values[k], lmax, over[k])
+                  for k, bound_id in enumerate(SIGNED_CATALOG)]
+        checks += [(identity, f"trace-{k + 1}", traces[:, k], f.matrix_traces[:, k], want[:, k],
+                    abs(f.matrix_traces[:, k] - want[:, k])) for k in range(3)]
+        checks += [(identity, "rank", rank, num_rank, f.rank, abs(num_rank - f.rank)),
+                   (identity, "switching", switching, f.switch_diff, np.zeros(len(lmax)),
+                    f.switch_diff)]
+        texts = {b: serialize_signed_graph(u.graph(b)) for b in failed.nonzero()[0].tolist()}
+        for target, check_id, mask, *columns in checks:
+            at = mask.nonzero()[0]
+            for b, *v in zip(at.tolist(), *(column[at].tolist() for column in columns)):
+                target.append(Violation(first + b, g_seeds[b], texts[b], check_id, *map(float, v)))
 
     failures.sort(key=lambda v: (v.trial, v.check_id))
     identity.sort(key=lambda v: (v.trial, v.check_id))

@@ -5,8 +5,8 @@ with i < j and sign +1 or -1; graphs are simple (no loops, no parallel
 edges).  Every graph holds its edges as :func:`edge_arrays`, int64 arrays
 sorted by pair, from construction on, and every statistic reads them.  All
 types are immutable after construction; every operation here is a pure
-function.  Statistics of a graph are memoised on the graph object itself
-(see :func:`cached_on_graph`), so each is computed once per graph.
+function.  Nothing is stored on a graph but its edges: each statistic is
+computed from the edge arrays afresh on every call.
 
 Statistics are computed for a batch of graphs at once, held as one
 disjoint union (:class:`_Union`); a single graph is a batch of one.
@@ -17,7 +17,6 @@ an independent check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -66,35 +65,14 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-def cached_on_graph(fn):
-    """Memoise ``fn(g)`` on the graph ``g`` it is called with.
-
-    The value is stored in ``g``'s own memo dict, so it lives as long as
-    that graph object, and a graph built from another one (switched,
-    re-signed, a subgraph) starts with an empty memo.  ``fn`` must return an
-    immutable or read-only value.  Concurrent first calls may both compute
-    it; they store equal values, so no lock is needed.
-    """
-
-    @functools.wraps(fn)
-    def cached(g):
-        memo = g._memo
-        value = memo.get(fn)
-        if value is None:
-            value = memo[fn] = fn(g)
-        return value
-
-    return cached
-
-
 @dataclass(frozen=True)
 class SignedGraph:
     """A simple undirected graph on vertices 1..n with +1/-1 edge signs.
 
     ``edges``, a frozenset of ``(i, j, sign)`` tuples with ``i < j``,
     defines equality, hashing and repr; ``_arrays`` holds the same edges as
-    :func:`edge_arrays`, read by everything else, and ``_memo`` the
-    statistics computed on this instance.  Construct directly with a
+    :func:`edge_arrays`, read by everything else; nothing computed from
+    them is stored on the instance.  Construct directly with a
     normalized frozenset, or use :meth:`from_edges`.  A graph built from
     edge arrays alone (parsed, switched, re-signed or unpickled) builds
     ``edges`` from them on first read.
@@ -103,7 +81,6 @@ class SignedGraph:
     n: int
     edges: frozenset[tuple[int, int, int]]
     _arrays: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -157,7 +134,6 @@ class SignedGraph:
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_arrays", (i, j, sign))
-        object.__setattr__(g, "_memo", {})
         g.__post_init__()
         return g
 
@@ -169,7 +145,7 @@ class SignedGraph:
         return SignedGraph._from_edge_arrays(self.n, i, j, sign[:])
 
     def __reduce__(self):
-        # The edge arrays alone: pickle cannot name the memo's keys.
+        # The edge arrays alone, so unpickling runs the constructor's checks.
         return _unpickle_edge_block, (self.n, np.column_stack(self._arrays))
 
     def __getattr__(self, name):
@@ -390,7 +366,6 @@ def _triangle_counts(u: _Union) -> np.ndarray:
     return _segments(np.add, np.where(u.sign > 0, common, common[::-1]), u.eoff)
 
 
-@cached_on_graph
 def degree_profile(g: SignedGraph) -> DegreeProfile:
     """Compute all per-vertex and aggregate degree statistics of ``g``."""
     d, d_neg, nds, sums = _degree_stats(_Union.of([g]))
@@ -400,7 +375,6 @@ def degree_profile(g: SignedGraph) -> DegreeProfile:
                          one["s1"], one["s2"], one["s3"], one["max_deg"], *extremes)
 
 
-@cached_on_graph
 def triangle_stats(g: SignedGraph) -> TriangleStats:
     """Count triangles and their signs (see :func:`_triangle_counts`)."""
     (t_pos,), (t_neg,) = _triangle_counts(_Union.of([g])).tolist()

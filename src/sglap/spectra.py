@@ -1,7 +1,7 @@
 """Dense matrices of signed graphs, their LAPACK eigenvalues, and exact
 trace / Rayleigh moments.
 
-``laplacian`` returns a read-only int64 numpy array, so trace
+``laplacian`` returns a fresh int64 numpy array on each call, so trace
 computations are exact; floating point enters only through the
 eigensolver and bound values.  ``power_traces`` gives the same traces from
 degree and triangle counts, without a matrix.  ``eigenvalues`` takes any
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sgraph import (_BATCH_ELEMENTS, SignedGraph, _degree_stats, _Union, cached_on_graph,
-                     degree_profile, triangle_stats)
+from .sgraph import (_BATCH_ELEMENTS, SignedGraph, _degree_stats, _Union, degree_profile,
+                     triangle_stats)
 
 __all__ = [
     "laplacian",
@@ -28,14 +28,12 @@ __all__ = [
 ]
 
 
-@cached_on_graph
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Laplacian D - A: degrees on the diagonal, negated signs off it.
-    Read-only: the per-graph memo hands one array to every caller."""
+    Built from ``g``'s edge arrays on each call, so each caller gets its
+    own array."""
     u = _Union.of([g])
-    stack = _laplacians(u, np.zeros(1, dtype=np.intp), u.sign[None], np.int64)
-    stack.setflags(write=False)
-    return stack[0, 0]
+    return _laplacians(u, np.zeros(1, dtype=np.intp), u.sign[None], np.int64)[0, 0]
 
 
 def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:

@@ -189,6 +189,51 @@ class TestVerifyCommand:
         assert err == f"error: trial=0 seed={g_seed}: UB-RANK: radicand -1 < 0\n"
 
 
+class TestOneEvaluationPerGraph:
+    """Each command evaluates each graph once: ``bounds`` and a ``report``
+    over several files make one ``_batch_facts`` call, ``verify`` one per
+    chunk of trials, and ``spectrum`` and ``switch-check`` none."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        from sglap import bounds, harness
+
+        sizes = []
+        real = bounds._batch_facts
+
+        def counted(u, *args):
+            sizes.append(len(u.n))
+            return real(u, *args)
+
+        monkeypatch.setattr(bounds, "_batch_facts", counted)
+        monkeypatch.setattr(harness, "_batch_facts", counted)
+        return sizes
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "csv", "--full-precision"]])
+    def test_bounds(self, capsys, graph_file, batches, flags):
+        assert run(capsys, ["bounds", *flags, "--input", graph_file("k3m", K3M)])[0] == 0
+        assert batches == [1]
+
+    def test_report_over_three_files(self, capsys, graph_file, batches):
+        paths = [graph_file(name, g) for name, g in (("a", K3M), ("b", K3N), ("c", P3P))]
+        assert run(capsys, ["report", "--inputs", *paths])[0] == 0
+        assert batches == [9]  # each graph and its two one-sign signings
+
+    @pytest.mark.parametrize("connected", [[], ["--require-connected"]])
+    def test_verify_once_per_chunk(self, capsys, batches, monkeypatch, connected):
+        monkeypatch.setattr("sglap.harness._BATCH_ELEMENTS", 5 * 6 * 6 * 4)  # 4 trials a chunk
+        code, out, _ = run(capsys, ["verify", "--n", "6", "--edge-prob", "0.6", "--neg-prob",
+                                    "0.5", "--trials", "10", "--seed", "5", *connected])
+        assert code == 0 and "trials: 10" in out
+        assert batches == [4, 4, 2]
+
+    def test_spectrum_and_switch_check_evaluate_nothing(self, capsys, graph_file, batches):
+        a, b = graph_file("a", K3M), graph_file("b", K3N)
+        assert run(capsys, ["spectrum", "--input", a])[0] == 0
+        assert run(capsys, ["switch-check", "--a", a, "--b", b])[0] == 0
+        assert batches == []
+
+
 class TestSwitchCheckCommand:
     def test_equivalent_pair_with_witness(self, capsys, graph_file):
         code, out, _ = run(capsys, ["switch-check", "--a", graph_file("m", K3M),

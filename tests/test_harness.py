@@ -12,7 +12,9 @@ from sglap import (
     SignedGraph,
     SplitMix64,
     generate,
+    harness,
     is_connected,
+    laplacian_rank,
     report,
     serialize_signed_graph,
     verify,
@@ -152,6 +154,39 @@ class TestVerify:
         assert rep.failures and rep.identity_failures
         for v in rep.failures + rep.identity_failures:
             assert (type(v.value), type(v.reference), type(v.magnitude)) == (float,) * 3
+
+    def test_trace_off_by_one_above_2_53(self, monkeypatch):
+        # 2^53 + 1 is no float: its magnitude is the integers' difference,
+        # taken before either becomes a float.
+        real = harness._batch_facts
+
+        def planted(u, switched=None):
+            f = real(u, switched)
+            f.p3[0], f.matrix_traces[0, 2] = 2 ** 53, 2 ** 53 + 1
+            return f
+
+        monkeypatch.setattr(harness, "_batch_facts", planted)
+        rep = verify(GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31), 3)
+        assert [(v.trial, v.check_id, v.value, v.reference, v.magnitude)
+                for v in rep.identity_failures] == [(0, "trace-3", 2.0 ** 53, 2.0 ** 53, 1.0)]
+
+    def test_planted_rank_failure(self, monkeypatch):
+        # No eigenvalue lies above the planted threshold, so the numerical
+        # rank of every trial is 0, off by its exact rank.
+        monkeypatch.setattr(harness, "RANK_TOL", 1e9)
+        cfg = GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31)
+        rep = verify(cfg, 3)
+        seeds = SplitMix64(cfg.seed)
+        want = []
+        for trial in range(3):
+            g = generate(replace(cfg, seed=seeds.next_u64()))
+            seeds.next_u64()
+            rank = float(laplacian_rank(g))
+            want += [(trial, "rank", 0.0, rank, rank)] if rank else []
+        assert want
+        assert [(v.trial, v.check_id, v.value, v.reference, v.magnitude)
+                for v in rep.identity_failures] == want
+        assert rep.failures == ()
 
 
 class TestReport:

@@ -1,13 +1,16 @@
-"""Per-graph memoisation of the sign-blind statistics.
+"""What a graph stores, and what is computed from it on each call.
 
-``degree_profile``, ``triangle_stats``, ``balance_info`` and ``laplacian``
-are computed once per graph object, and ``edge_arrays`` is stored when the
-graph is built.  These tests check
-that a memoised value always equals a fresh computation on an equal but
+A graph stores its vertex count and its ``edge_arrays`` when it is built,
+and its edge set when something first reads it; nothing else.
+``degree_profile``, ``triangle_stats``, ``balance_info``, ``laplacian`` and
+every bound are computed from the edge arrays on each call.  These tests
+check that a graph holds no other state, however it was made and whatever
+was computed on it, that every statistic equals the one of an equal but
 distinct graph, that repeated evaluation is bit-identical, and that graphs
-derived from another graph never see its memo.
+derived from another graph, pickled or not, match fresh ones.
 """
 
+import dataclasses
 import pickle
 import sys
 import threading
@@ -18,11 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import K3M, K3N, K3P, K3P_K3N, one_sign_subgraph, random_graphs
+import sglap
 from sglap import (
+    GeneratorConfig,
     SignedGraph,
     balance_info,
     degree_profile,
     evaluate_all,
+    generate,
     laplacian,
     parse_signed_graph,
     serialize_signed_graph,
@@ -37,7 +43,7 @@ STATS = (degree_profile, triangle_stats, balance_info)
 
 
 def twin(g: SignedGraph) -> SignedGraph:
-    """An equal graph that shares no object, and so no memo, with ``g``."""
+    """An equal graph that shares no object with ``g``."""
     return SignedGraph(g.n, frozenset(g.edges))
 
 
@@ -75,10 +81,14 @@ class TestMemoMatchesFresh:
         assert_stats_equal_fresh(g)
 
     def test_second_call_returns_the_stored_value(self):
+        # Only the edge arrays are stored; every statistic is computed again
+        # and comes out equal.
         g = twin(K3M)
-        for fn in (*STATS, laplacian, edge_arrays):
-            assert fn(g) is fn(g)
-            assert fn(g) is not fn(twin(g))
+        assert edge_arrays(g) is edge_arrays(g)
+        assert edge_arrays(g) is not edge_arrays(twin(g))
+        for fn in STATS:
+            assert fn(g) == fn(g) == fn(twin(g))
+        assert np.array_equal(laplacian(g), laplacian(g))
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         g = twin(K3P_K3N)
@@ -89,8 +99,6 @@ class TestMemoMatchesFresh:
 
     def test_cached_values_are_read_only(self):
         g = twin(K3M)
-        with pytest.raises(ValueError):
-            laplacian(g)[0, 0] = 7
         for column in edge_arrays(g):
             with pytest.raises(ValueError):
                 column[0] = 7
@@ -114,9 +122,9 @@ class TestMemoMatchesFresh:
 
 
 class TestPickle:
-    """A graph pickles to an equal graph, whatever its memo holds: the
-    memo's keys are functions pickle cannot name, so only the edges travel,
-    and the copy is built through the checked constructor."""
+    """A graph pickles to an equal graph, whatever was computed on it: only
+    the edge arrays travel, and the copy is built through the checked
+    constructor."""
 
     @staticmethod
     def _graphs():
@@ -229,9 +237,49 @@ class TestDerivedGraphsStartEmpty:
             one_sign_subgraph(g, -1),
         )
         for h in derived:
-            assert h._memo == {}
             warm(h)
             assert_stats_equal_fresh(h)
         assert_stats_equal_fresh(g)
         assert balance_info(derived[0]).balanced_count == balance_info(g).balanced_count
 
+
+
+def compute_everything(g: SignedGraph) -> None:
+    """Every public statistic, matrix, bound and rendering of ``g``."""
+    warm(g)
+    evaluate_all(g, check=False)
+    for name in ("lb_net_mean", "lb_net_sq", "lb_net_cubic", "ub_wang_edge", "ub_wang_global",
+                 "ub_rank_trace", "lb_trace_sq", "lb_trace_cubic_a", "lb_trace_cubic_b",
+                 "ub_all_negative", "lb_interlacing", "classic_bounds", "unsigned_corollaries",
+                 "power_traces", "is_connected", "laplacian_rank", "serialize_signed_graph"):
+        getattr(sglap, name)(g)
+    for k in (1, 2, 3):
+        sglap.rayleigh_moment(g, k)
+    hash(g), repr(g), g == twin(g)
+
+
+class TestNoPerGraphState:
+    """A graph holds its vertex count, its edge arrays and, once something
+    reads it, its edge set, and nothing else: no cache of any statistic."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SignedGraph)] == ["n", "edges", "_arrays"]
+
+    def test_built_parsed_switched_and_unpickled_graphs(self):
+        for base in random_graphs(6, base_seed=4_900, n_min=1, n_max=12) + [twin(K3P_K3N)]:
+            text = serialize_signed_graph(base)
+            made = {
+                "built": twin(base),
+                "from_edges": SignedGraph.from_edges(base.n, [(j, i, s) for i, j, s in base.edges]),
+                "parsed": parse_signed_graph(text),
+                "parsed by lines": parse_signed_graph("# c\n" + text),
+                "switched": switch(base, (-1,) * base.n),
+                "all negative": sign_all(base, -1),
+                "unpickled": pickle.loads(pickle.dumps(base)),
+                "generated": generate(GeneratorConfig(n=base.n, edge_prob=0.5, neg_prob=0.5,
+                                                      seed=base.n)),
+            }
+            for how, g in made.items():
+                compute_everything(g)
+                state = set(vars(g))
+                assert {"n", "_arrays"} <= state <= {"n", "_arrays", "edges"}, how
