@@ -18,10 +18,10 @@ build :class:`BoundResult` objects from it for a batch of one graph.
 Degree sums are kept in exact integer arithmetic as long as possible so
 the values differ from their defining formulas only by the final float
 division, square root, or cube root, each rounded as Python rounds it on
-Python numbers: integers are int64 only where numpy converts them as
-Python does, and cube roots run as Python float powers.  A radicand or
-moment the theory makes nonnegative passes through :func:`_nonnegative`,
-which raises on a negative entry instead of clamping it.
+Python numbers: the integer columns the rows read are Python ints, and
+cube roots run as Python float powers.  A radicand or moment the theory
+makes nonnegative passes through :func:`_nonnegative`, which raises on a
+negative entry instead of clamping it.
 """
 
 from __future__ import annotations
@@ -92,10 +92,9 @@ class BoundResult:
 class _Facts:
     """The statistics :func:`_batch_facts` computes for a batch of graphs,
     as columns: every attribute but ``spectra`` is an array with one entry
-    per graph (``matrix_traces`` one row).  ``spectra`` holds the graphs'
-    ascending spectra back to back, graph b's ``n[b]`` eigenvalues from
-    ``first[b]`` on.  ``f[b]`` is graph b's batch of one, and iterating
-    yields them in order."""
+    per graph.  ``spectra`` holds the graphs' ascending spectra back to
+    back, graph b's ``n[b]`` eigenvalues from ``first[b]`` on.  ``f[b]`` is
+    graph b's batch of one, and iterating yields them in order."""
 
     def __init__(self, spectra: np.ndarray, **columns):
         self.spectra = spectra
@@ -118,40 +117,23 @@ class _Facts:
         return tuple(self.spectra[self.first[b]:self.first[b] + self.n[b]].tolist())
 
 
-def _facts(g) -> _Facts:
-    """The facts of ``g``: a graph's batch of one, computed afresh, or
-    ``g`` itself when a batch already computed them."""
-    return g if isinstance(g, _Facts) else _batch_facts(_Union.of([g]))
-
-
-# The integer columns the catalog's rows read; those that enter the rows'
-# products, and those that enter them only linearly (see _batch_facts).
+# The integer columns the catalog's rows read, held as Python ints.
 _EXACT = ("s1", "s2", "p1", "p2", "p3", "net1", "net2", "net3")
-_IN_PRODUCTS = ("s2", "p1", "p2", "n", "m", "edge_deg_min", "edge_deg_max")
-_LINEAR = ("p3", "net1", "net2", "net3")
 
 
-def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
+def _batch_facts(u: _Union) -> _Facts:
     """Everything the catalog reads, for every graph of the union ``u``.
 
     Per graph: ``n``, ``m``, ``connected``, ``rank`` (n minus balanced
     components), the :func:`~sglap.sgraph._degree_stats` sums, ``p1``-``p3``
     (:func:`~sglap.spectra.power_traces`), ``lambda_max`` and the other
-    :func:`~sglap.spectra._batch_spectra` entries (``switched`` is passed
-    on), and the per-edge and per-vertex maxima of UB-WANG-EDGE and
-    KB-1..KB-4, with ``wang_bad`` and ``kb2_bad`` the first edge's inner
-    term or radicand that is negative, else 0, and ``kb2_at`` that edge's
-    ends.  Each edge term is computed as the scalar formula would,
-    operation by operation, on exact integers, so every value is
-    bit-identical to it.
-
-    Every integer a catalog row derives is at most 5 Y^3 + 2 Z in
-    magnitude, for Y the largest magnitude among s1 = p1, s2, p2, n >= rank,
-    m and the edge-degree extremes, which enter products of up to three,
-    and Z the largest among p3 and the LB-NET moments, which enter only
-    linearly.  The rows' integer columns are int64 while that is below
-    2^53, where numpy converts, divides and roots them as Python does, and
-    Python ints past it (``sgraph._exact_dtype``).
+    :func:`~sglap.spectra._batch_spectra` entries, and the per-edge and
+    per-vertex maxima of UB-WANG-EDGE and KB-1..KB-4, with ``wang_bad`` and
+    ``kb2_bad`` the first edge's inner term or radicand that is negative,
+    else 0, and ``kb2_at`` that edge's ends.  Each edge term is computed as
+    the scalar formula would, operation by operation, on exact integers, so
+    every value is bit-identical to it.  The ``_EXACT`` columns hold Python
+    ints, so every integer a row derives from them is exact.
     """
     d, _, nds, sums = _degree_stats(u)
     t_pos, t_neg = _triangle_counts(u)
@@ -160,10 +142,7 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
     p1, p2, p3 = _power_traces(facts["s1"], facts["s2"], facts["s3"], t_pos - t_neg)
     facts.update(n=u.n, m=u.m, connected=components == 1, rank=u.n - balanced,
                  p1=p1, p2=p2, p3=p3, first=u.voff[:-1])
-    y, z = (int(np.abs(np.concatenate([facts[key] for key in keys])).max())
-            for keys in (_IN_PRODUCTS, _LINEAR))
-    if _exact_dtype(5 * y ** 3 + 2 * z, 2 ** 53) is object:
-        facts.update({key: np.asarray(facts[key], dtype=object) for key in _EXACT})
+    facts.update({key: np.asarray(facts[key], dtype=object) for key in _EXACT})
     di, dj, si, sj = d[u.i], d[u.j], nds[u.i], nds[u.j]
     # d * nds <= max_deg^3 < 2^60; the UB-WANG-EDGE numerator, at most
     # 4 max_deg^4, is divided as a float, so past 2^53 it is a Python int.
@@ -187,7 +166,7 @@ def _batch_facts(u: _Union, switched: np.ndarray | None = None) -> _Facts:
     for e in (rad < 0).nonzero()[0][::-1].tolist():
         facts["kb2_bad"][u.egraph[e]] = rad[e]
         facts["kb2_at"][u.egraph[e]] = u.li[e] + 1, u.lj[e] + 1
-    facts.update(_batch_spectra(u, switched))
+    facts.update(_batch_spectra(u))
     facts["lambda_max"] = facts["spectra"][u.voff[1:] - 1]
     return _Facts(**facts)
 
@@ -339,12 +318,11 @@ SIGNED_CATALOG: tuple[str, ...] = tuple(row.bound_id for row in _CATALOG)
 
 def _bound_function(name: str) -> Callable[[SignedGraph], BoundResult]:
     """The public function ``name``: its row on a graph, whose facts each call
-    computes afresh (:func:`evaluate_all` gives every row from one), or on
-    one graph's facts."""
+    computes afresh (:func:`evaluate_all` gives every row from one)."""
     (row,) = [row for row in _CATALOG if row.function == name]
 
     def bound(g: SignedGraph) -> BoundResult:
-        ((result,),) = _results(_facts(g), (row,))
+        ((result,),) = _results(_batch_facts(_Union.of([g])), (row,))
         return result
 
     bound.__name__ = bound.__qualname__ = name
@@ -373,7 +351,7 @@ def classic_bounds(g: SignedGraph) -> tuple[BoundResult, ...]:
     edge, from one evaluation of ``g`` made afresh on each call.  They read
     only degrees d and neighbor-degree sums nds (d_i m_i, with m_i the
     average 2-degree), which stay exact integers:"""
-    (results,) = _results(_facts(g), _CLASSIC)
+    (results,) = _results(_batch_facts(_Union.of([g])), _CLASSIC)
     return results
 
 
@@ -391,12 +369,16 @@ def unsigned_corollaries(g: SignedGraph) -> tuple[BoundResult, ...]:
     component count c (all-positive) or the bipartite component count
     (all-negative), and signed triangles collapse to +-t.  Results come in
     catalog order and carry the catalog's ids.  Both signings are
-    evaluated as one batch (:func:`_batch_facts`).
+    evaluated as one batch (:func:`_batch_facts`), on the signed rows the
+    entries name only.
     """
-    positive, negative = _batch_facts(_Union.of([sign_all(g, 1), sign_all(g, -1)]))
-    signings = {1: positive, -1: negative}
+    names = {signed_bound.__name__ for _, _, signed_bound in UNSIGNED_CATALOG}
+    rows = tuple(row for row in _CATALOG if row.function in names)
+    scored = _results(_batch_facts(_Union.of([sign_all(g, 1), sign_all(g, -1)])), rows)
+    signings = {sign: dict(zip([row.function for row in rows], results))
+                for sign, results in zip((1, -1), scored)}
     return tuple(
-        replace(signed_bound(signings[sign]), bound_id=bound_id)
+        replace(signings[sign][signed_bound.__name__], bound_id=bound_id)
         for bound_id, sign, signed_bound in UNSIGNED_CATALOG
     )
 
@@ -464,7 +446,7 @@ def evaluate_all(g: SignedGraph, tol: float = DEFAULT_TOL, check: bool = True) -
     InternalInconsistencyError since the theory rules it out; pass
     check=False to collect violations as data instead.
     """
-    f = _facts(g)
+    f = _batch_facts(_Union.of([g]))
     (results,) = _results(f)
     ev = BoundEvaluation(results, f.spectrum(0))
     if check:

@@ -30,7 +30,7 @@ from .bounds import (
     _scores,
 )
 from .sgraph import _BATCH_ELEMENTS, SignedGraph, _Union, serialize_signed_graph
-from .spectra import sign_all
+from .spectra import _eigvalsh, _exact_traces, _laplacians, sign_all
 
 __all__ = [
     "SplitMix64",
@@ -286,14 +286,15 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     count above RANK_TOL equals n minus balanced components); and spectrum
     invariance under a random switching.  Each check is one comparison over
     a batch's value matrix or stacked spectra.  Failed checks are returned
-    as data.
+    as data.  The identity checks read their own int64 stack of each
+    trial's L and switched L: exact traces, and the switched spectra.
 
     Trial k (from 0) takes the (2k+1)-th output of the splitmix64 stream
     seeded with cfg.seed as its graph seed and the (2k+2)-th as its
     switching seed; the switching is -1 at vertex v when the v-th uniform of
     that seed's stream falls below 0.5.  The trials run as batches
     (:func:`_generate`, ``bounds._batch_facts``), as many per batch as keep
-    its matrices within ``_BATCH_ELEMENTS`` entries.
+    its five matrices per trial within ``_BATCH_ELEMENTS`` entries.
 
     Raises:
         ValueError: ``trials`` is below 1, or ``tol`` is NaN or infinite;
@@ -316,20 +317,24 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         u = _generate(cfg, g_seeds)
         theta = np.where(_uniforms(_splitmix(th_streams, np.zeros(len(th_streams), np.int64),
                                              cfg.n)) < 0.5, -1, 1).ravel()
-        f = _batch_facts(u, theta[u.i] * u.sign * theta[u.j])
+        f = _batch_facts(u)
         try:
             values, applicable = _scores(f)
         except _Negative as exc:
             raise InternalInconsistencyError(
                 f"trial={first + exc.graph} seed={g_seeds[exc.graph]}: {exc}") from exc
         # Each check as a mask over the batch.
-        lmax = f.lambda_max
+        lmax, spectra = f.lambda_max, f.spectra.reshape(len(g_seeds), cfg.n)
         sandwich = applicable & np.where(_LOWER_ROWS, values > lmax + tol, values < lmax - tol)
-        want = np.array((f.p1, f.p2, f.p3)).T
-        traces = f.matrix_traces != want
-        num_rank = (f.spectra.reshape(len(g_seeds), cfg.n) > RANK_TOL).sum(axis=1)
+        lap, switched = _laplacians(u, np.arange(len(g_seeds)), np.array(
+            (u.sign, theta[u.i] * u.sign * theta[u.j])), np.int64)
+        switch_diff = np.abs(spectra - _eigvalsh(switched.astype(np.float64))).max(axis=1)
+        matrix_traces, want = _exact_traces(lap), np.array((f.p1, f.p2, f.p3)).T
+        del lap, switched  # one stack, freed before the next batch is built
+        traces = matrix_traces != want
+        num_rank = (spectra > RANK_TOL).sum(axis=1)
         rank = num_rank != f.rank
-        switching = f.switch_diff > tol
+        switching = switch_diff > tol
         failed = sandwich.any(axis=0) | traces.any(axis=1) | rank | switching
         if not failed.any():
             continue
@@ -338,11 +343,11 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         over = np.where(_LOWER_ROWS, values - lmax, lmax - values)
         checks = [(failures, bound_id, sandwich[k], values[k], lmax, over[k])
                   for k, bound_id in enumerate(SIGNED_CATALOG)]
-        checks += [(identity, f"trace-{k + 1}", traces[:, k], f.matrix_traces[:, k], want[:, k],
-                    abs(f.matrix_traces[:, k] - want[:, k])) for k in range(3)]
+        checks += [(identity, f"trace-{k + 1}", traces[:, k], matrix_traces[:, k], want[:, k],
+                    abs(matrix_traces[:, k] - want[:, k])) for k in range(3)]
         checks += [(identity, "rank", rank, num_rank, f.rank, abs(num_rank - f.rank)),
-                   (identity, "switching", switching, f.switch_diff, np.zeros(len(lmax)),
-                    f.switch_diff)]
+                   (identity, "switching", switching, switch_diff, np.zeros(len(lmax)),
+                    switch_diff)]
         texts = {b: serialize_signed_graph(u.graph(b)) for b in failed.nonzero()[0].tolist()}
         for target, check_id, mask, *columns in checks:
             at = mask.nonzero()[0]

@@ -8,7 +8,8 @@ degree and triangle counts, without a matrix.  ``eigenvalues`` takes any
 square symmetric 2-D array-like and returns its spectrum as an ascending
 tuple of floats.  Every eigenvalue the package computes comes from one
 ``numpy.linalg.eigvalsh`` call site, :func:`_eigvalsh`; a batch of graphs
-solves all its matrices of one order as one stack (:func:`_batch_spectra`).
+solves the catalog's four matrices of each graph of one order as one stack
+(:func:`_batch_spectra`).
 """
 
 from __future__ import annotations
@@ -106,32 +107,23 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Spectra of every graph of ``u``, as arrays.
+def _batch_spectra(u: _Union) -> dict[str, np.ndarray]:
+    """Spectra of every graph of ``u``, as arrays: the four the catalog reads.
 
     ``spectra`` holds the ascending spectrum of each graph's L at the
     graph's vertex range of the union (``u.voff``); ``top_abs``,
     ``top_pos`` and ``top_neg`` hold, per graph, the largest eigenvalues of
     |L|, the Laplacian of the all-negative signing, and of L+ and L-, the
     Laplacians of the positive and of the negative edges (L = L+ + L-).
-    With ``switched``, a sign per edge of ``u``, ``switch_diff`` is each
-    graph's largest gap between L's spectrum and that of L with those
-    signs, and ``matrix_traces`` its row (tr L, tr L^2, tr L^3) by exact
-    integer matrix products.  All these matrices of the graphs of one order
-    are solved as one stack by one ``_eigvalsh`` call, in chunks of as many
-    graphs as keep the stack within ``_BATCH_ELEMENTS`` entries; where one
-    graph's matrices alone pass it, they are solved as few at a time as fit
-    (at least one).
+    All these matrices of the graphs of one order are solved as one stack
+    by one ``_eigvalsh`` call, in chunks of as many graphs as keep the stack
+    within ``_BATCH_ELEMENTS`` entries; where one graph's matrices alone
+    pass it, they are solved as few at a time as fit (at least one).
     """
     count = len(u.n)
     out = {"spectra": np.empty(len(u.vgraph)), "top_abs": np.empty(count),
            "top_pos": np.empty(count), "top_neg": np.empty(count)}
-    weights = [u.sign, np.full_like(u.sign, -1), np.maximum(u.sign, 0), np.minimum(u.sign, 0)]
-    if switched is not None:
-        out["switch_diff"] = np.empty(count)
-        out["matrix_traces"] = np.empty((count, 3), dtype=np.int64)
-        weights.append(switched)
-    weights = np.array(weights)
+    weights = np.array((u.sign, np.full_like(u.sign, -1), np.maximum(u.sign, 0), np.minimum(u.sign, 0)))
     for n in sorted(set(u.n.tolist())):
         group = (u.n == n).nonzero()[0]
         size = max(1, _BATCH_ELEMENTS // (len(weights) * n * n))
@@ -140,20 +132,20 @@ def _batch_spectra(u: _Union, switched: np.ndarray | None = None) -> dict[str, n
             eigs = []
             for k in range(0, len(weights), kinds):
                 mats = _laplacians(u, graphs, weights[k:k + kinds], np.float64)
-                if k == 0 and switched is not None:
-                    lap = mats[0].astype(np.int64)
                 eigs.append(_eigvalsh(mats))
                 del mats  # before the next chunk is built
             eigs = eigs[0] if len(eigs) == 1 else np.concatenate(eigs)
             out["spectra"][u.voff[graphs, None] + np.arange(n)] = eigs[0]
-            out["top_abs"][graphs], out["top_pos"][graphs], out["top_neg"][graphs] = eigs[1:4, :, -1]
-            if switched is not None:
-                square = lap @ lap
-                out["switch_diff"][graphs] = np.abs(eigs[0] - eigs[4]).max(axis=1)
-                out["matrix_traces"][graphs] = np.array((
-                    lap.trace(axis1=1, axis2=2), square.trace(axis1=1, axis2=2),
-                    np.add.reduce(square * lap, axis=(1, 2)))).T
+            out["top_abs"][graphs], out["top_pos"][graphs], out["top_neg"][graphs] = eigs[1:, :, -1]
     return out
+
+
+def _exact_traces(lap: np.ndarray) -> np.ndarray:
+    """(tr L, tr L^2, tr L^3) of each int64 matrix L of the stack ``lap``,
+    one row per matrix, by exact integer matrix products."""
+    square = lap @ lap
+    return np.array((lap.trace(axis1=1, axis2=2), square.trace(axis1=1, axis2=2),
+                     np.add.reduce(square * lap, axis=(1, 2)))).T
 
 
 def trace_moment(a: np.ndarray, k: int):

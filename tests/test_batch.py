@@ -7,6 +7,7 @@ batch it sits in; the chunks a large batch is cut into must not change a
 report; and the integer aggregates must stay exact past int64.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from sglap import (
     evaluate_all,
     generate,
     serialize_signed_graph,
-    triangle_stats,
+    unsigned_corollaries,
     verify,
 )
 from sglap import bounds, harness, sgraph, spectra
@@ -205,16 +206,16 @@ class TestAssertsInTheBatch:
 
         monkeypatch.setattr(bounds, "_degree_stats", planted)
         messages = []
-        for g, f in zip(graphs, _batch_facts(_Union.of(graphs))):
+        for g in graphs:
             d = (0, *degree_profile(g).d)
             pairs = list(zip(*(column.tolist() for column in edge_arrays(g)[:2])))
             inner = [-2 * d[a] * d[b] for a, b in pairs]
             rad = [(d[a] - 2) ** 2 + (d[b] - 2) ** 2 - 4 for a, b in pairs]
             k = next(k for k, r in enumerate(rad) if r < 0)
             with pytest.raises(InternalInconsistencyError) as wang:
-                bounds.ub_wang_edge(f)
+                bounds.ub_wang_edge(g)
             with pytest.raises(InternalInconsistencyError) as kb2:
-                bounds.classic_bounds(f)
+                bounds.classic_bounds(g)
             assert str(wang.value) == f"UB-WANG-EDGE: inner term {inner[0]} < 0"
             assert str(kb2.value) == f"KB-2: radicand {rad[k]} < 0 on edge {pairs[k][0]},{pairs[k][1]}"
             messages.append((str(wang.value), str(kb2.value)))
@@ -235,14 +236,14 @@ class TestAssertsInTheBatch:
 
         monkeypatch.setattr(bounds, "_degree_stats", planted)
         messages = []
-        for g, f in zip(graphs, _batch_facts(_Union.of(graphs))):
+        for g in graphs:
             prof, b = degree_profile(g), balance_info(g)
             r, s1, m = g.n - b.balanced_count, prof.s1, g.m
             lo, hi = prof.edge_deg_min, prof.edge_deg_max
             with pytest.raises(InternalInconsistencyError) as rank:
-                bounds.ub_rank_trace(f)
+                bounds.ub_rank_trace(g)
             with pytest.raises(InternalInconsistencyError) as wang:
-                bounds.ub_wang_global(f)
+                bounds.ub_wang_global(g)
             assert str(rank.value) == f"UB-RANK: radicand {(r - 1) * (r * s1 - s1 * s1)} < 0"
             radicand = -2 * m - (m - 1) * lo + (lo - 1) * hi
             assert str(wang.value) == f"UB-WANG-GLOBAL: radicand {radicand} < 0"
@@ -277,7 +278,7 @@ class TestExactAggregates:
         monkeypatch.setattr(bounds, "_exact_dtype", lambda b, limit=2 ** 63:
                             bounds_seen.append(b) or np.int64)
         _batch_facts(_Union.of([g]))
-        sum_bound, catalog_bound, wang_bound = bounds_seen
+        sum_bound, wang_bound = bounds_seen
         i, j, s = (c.tolist() for c in edge_arrays(g))
         d, dn = [0] * (g.n + 1), [0] * (g.n + 1)
         for a, b, sign in zip(i, j, s):
@@ -295,18 +296,6 @@ class TestExactAggregates:
         assert max(terms) <= sum_bound
         inner = [d[a] * nds[a] + d[b] * nds[b] - 2 * d[a] * d[b] for a, b in zip(i, j)]
         assert max((d[a] + d[b] - 2) * x for (a, b), x in zip(zip(i, j), inner)) <= wang_bound
-        # Every integer a catalog row derives, and each of its partial sums.
-        n, m, r = g.n, g.m, g.n - balance_info(g).balanced_count
-        s1, s2, s3 = (sum(x ** k for x in d) for k in (1, 2, 3))
-        p1, p2, p3 = s1, s2 + s1, s3 + 3 * s2 - 6 * triangle_stats(g).t_net
-        lo, hi = (degree_profile(g).edge_deg_min or 0), (degree_profile(g).edge_deg_max or 0)
-        derived = [2 * sum(dn), 4 * sum(x * x for x in dn), 4 * terms[1] - 8 * sum(
-            sign * dn[a] * dn[b] for a, b, sign in zip(i, j, s)),
-            s2 - 2 * m, s2 - 2 * m - (m - 1) * lo, s2 - 2 * m - (m - 1) * lo + (lo - 1) * hi,
-            r * (s1 + s2), r * (s1 + s2) - s1 * s1, (r - 1) * (r * (s1 + s2) - s1 * s1),
-            p1 * p1 - p2, 2 * p3 - 3 * p2 * p1, 2 * p3 - 3 * p2 * p1 + p1 ** 3, p1 * p2 - p3,
-            r * (r - 1) * (r - 2)]
-        assert max(map(abs, derived)) <= catalog_bound
 
     def test_python_int_path_gives_the_same_results(self, monkeypatch):
         graphs = MIXED + random_graphs(10, base_seed=16_700, n_min=20, n_max=40)
@@ -322,3 +311,35 @@ class TestExactAggregates:
         big = (d * d).astype(_exact_dtype(2 ** 64)) * np.array([2 ** 40 + 1, 1])
         assert big.tolist()[0] == 2 ** 82 + 2 ** 42
         assert (big / np.array([3, 1]).astype(object)).tolist()[0] == (2 ** 82 + 2 ** 42) / 3
+
+
+class TestTheBatchServesTheCatalog:
+    """The batch layer computes what the catalog reads, for a union of
+    graphs and nothing else; ``verify`` builds its identity checks' matrices
+    itself."""
+
+    def test_takes_the_union_only(self):
+        for layer in (bounds._batch_facts, spectra._batch_spectra):
+            assert len(inspect.signature(layer).parameters) == 1
+        f = _batch_facts(_Union.of([generate(GeneratorConfig(10, 0.5, 0.5, seed))
+                                    for seed in range(20)]))
+        assert not {"switch_diff", "matrix_traces"} & set(vars(f))
+        for key in bounds._EXACT:
+            column = getattr(f, key)
+            assert column.dtype == object and {type(x) for x in column.tolist()} == {int}, key
+
+    def test_unsigned_corollaries_score_only_their_rows(self, monkeypatch):
+        # With every nds planted as 0, UB-WANG-EDGE asserts on K3M and on
+        # both its signings; no unsigned corollary reads that row.
+        want = unsigned_corollaries(K3M)
+        real = bounds._degree_stats
+
+        def planted(u):
+            d, d_neg, nds, sums = real(u)
+            return d, d_neg, 0 * nds, sums
+
+        monkeypatch.setattr(bounds, "_degree_stats", planted)
+        with pytest.raises(InternalInconsistencyError) as err:
+            evaluate_all(K3M)
+        assert str(err.value) == "UB-WANG-EDGE: inner term -8 < 0"
+        assert unsigned_corollaries(K3M) == want

@@ -143,7 +143,7 @@ class TestAssertOrder:
         values, applicable = bounds._scores(f)
         row = bounds.SIGNED_CATALOG.index("UB-WANG-GLOBAL")
         assert not applicable[row, 0] and math.isnan(values[row, 0]) and applicable[row, 1]
-        assert bounds.ub_wang_global(f[0]).guard_reason == "graph not connected"
+        assert bounds.ub_wang_global(K3P_K3N).guard_reason == "graph not connected"
         monkeypatch.setattr(bounds, "_degree_stats", planting({
             serialize_signed_graph(K3M): {"edge_deg_max": -10 ** 6}}))
         with pytest.raises(InternalInconsistencyError) as err:

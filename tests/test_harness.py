@@ -158,14 +158,20 @@ class TestVerify:
     def test_trace_off_by_one_above_2_53(self, monkeypatch):
         # 2^53 + 1 is no float: its magnitude is the integers' difference,
         # taken before either becomes a float.
-        real = harness._batch_facts
+        real_facts, real_traces = harness._batch_facts, harness._exact_traces
 
-        def planted(u, switched=None):
-            f = real(u, switched)
-            f.p3[0], f.matrix_traces[0, 2] = 2 ** 53, 2 ** 53 + 1
+        def planted_facts(u):
+            f = real_facts(u)
+            f.p3[0] = 2 ** 53
             return f
 
-        monkeypatch.setattr(harness, "_batch_facts", planted)
+        def planted_traces(lap):
+            traces = real_traces(lap)
+            traces[0, 2] = 2 ** 53 + 1
+            return traces
+
+        monkeypatch.setattr(harness, "_batch_facts", planted_facts)
+        monkeypatch.setattr(harness, "_exact_traces", planted_traces)
         rep = verify(GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31), 3)
         assert [(v.trial, v.check_id, v.value, v.reference, v.magnitude)
                 for v in rep.identity_failures] == [(0, "trace-3", 2.0 ** 53, 2.0 ** 53, 1.0)]

@@ -80,7 +80,7 @@ class TestMemoMatchesFresh:
         warm(g)
         assert_stats_equal_fresh(g)
 
-    def test_second_call_returns_the_stored_value(self):
+    def test_second_call_returns_an_equal_value(self):
         # Only the edge arrays are stored; every statistic is computed again
         # and comes out equal.
         g = twin(K3M)
@@ -90,14 +90,14 @@ class TestMemoMatchesFresh:
             assert fn(g) == fn(g) == fn(twin(g))
         assert np.array_equal(laplacian(g), laplacian(g))
 
-    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+    def test_statistics_leave_equality_hash_and_repr_unchanged(self):
         g = twin(K3P_K3N)
         before = (hash(g), repr(g))
         warm(g)
         assert g == K3P_K3N
         assert (hash(g), repr(g)) == before
 
-    def test_cached_values_are_read_only(self):
+    def test_edge_arrays_are_read_only(self):
         g = twin(K3M)
         for column in edge_arrays(g):
             with pytest.raises(ValueError):
