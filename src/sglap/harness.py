@@ -286,8 +286,9 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
     count above RANK_TOL equals n minus balanced components); and spectrum
     invariance under a random switching.  Each check is one comparison over
     a batch's value matrix or stacked spectra.  Failed checks are returned
-    as data.  The identity checks read their own int64 stack of each
-    trial's L and switched L: exact traces, and the switched spectra.
+    as data.  The identity checks read one float64 stack per batch, each
+    trial's switched Laplacian L(g^theta) = Theta L Theta: its spectra, and
+    its exact traces, which equal L's as Theta^2 = I.
 
     Trial k (from 0) takes the (2k+1)-th output of the splitmix64 stream
     seeded with cfg.seed as its graph seed and the (2k+2)-th as its
@@ -326,11 +327,12 @@ def verify(cfg: GeneratorConfig, trials: int, tol: float = DEFAULT_TOL) -> Verif
         # Each check as a mask over the batch.
         lmax, spectra = f.lambda_max, f.spectra.reshape(len(g_seeds), cfg.n)
         sandwich = applicable & np.where(_LOWER_ROWS, values > lmax + tol, values < lmax - tol)
-        lap, switched = _laplacians(u, np.arange(len(g_seeds)), np.array(
-            (u.sign, theta[u.i] * u.sign * theta[u.j])), np.int64)
-        switch_diff = np.abs(spectra - _eigvalsh(switched.astype(np.float64))).max(axis=1)
-        matrix_traces, want = _exact_traces(lap), np.array((f.p1, f.p2, f.p3)).T
-        del lap, switched  # one stack, freed before the next batch is built
+        # Theta L Theta has L's spectrum and traces: one stack serves both.
+        weight = theta[u.i] * u.sign * theta[u.j]
+        switched = _laplacians(u, np.arange(len(g_seeds)), weight[None])[0]
+        switch_diff = np.abs(spectra - _eigvalsh(switched)).max(axis=1)
+        matrix_traces, want = _exact_traces(switched), np.array((f.p1, f.p2, f.p3)).T
+        del switched  # freed before the next batch is built
         traces = matrix_traces != want
         num_rank = (spectra > RANK_TOL).sum(axis=1)
         rank = num_rank != f.rank

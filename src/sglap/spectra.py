@@ -3,7 +3,10 @@ trace / Rayleigh moments.
 
 ``laplacian`` returns a fresh int64 numpy array on each call, so trace
 computations are exact; floating point enters only through the
-eigensolver and bound values.  ``power_traces`` gives the same traces from
+eigensolver and bound values.  Inside the package every Laplacian is built
+as float64 (:func:`_laplacians`): its entries are small integers, so the
+eigensolver reads them as they are and ``_exact_traces`` multiplies them
+exactly through BLAS.  ``power_traces`` gives the same traces from
 degree and triangle counts, without a matrix.  ``eigenvalues`` takes any
 square symmetric 2-D array-like and returns its spectrum as an ascending
 tuple of floats.  Every eigenvalue the package computes comes from one
@@ -30,19 +33,19 @@ __all__ = [
 
 
 def laplacian(g: SignedGraph) -> np.ndarray:
-    """Laplacian D - A: degrees on the diagonal, negated signs off it.
-    Built from ``g``'s edge arrays on each call, so each caller gets its
-    own array."""
+    """Laplacian D - A as int64: degrees on the diagonal, negated signs off
+    it.  Built from ``g``'s edge arrays on each call, as float64 and then
+    converted, so each caller gets its own array."""
     u = _Union.of([g])
-    return _laplacians(u, np.zeros(1, dtype=np.intp), u.sign[None], np.int64)[0, 0]
+    return _laplacians(u, np.zeros(1, dtype=np.intp), u.sign[None])[0, 0].astype(np.int64)
 
 
-def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Laplacians D - A of the graphs ``graphs`` of ``u``, which share one
     order n, with each row of ``weights`` (one weight of -1, 0 or +1 per
     edge of ``u``) in place of their signs: A_ij is the weight of edge ij,
     so a 0 drops the edge, and D_ii counts i's edges of nonzero weight.
-    Returns a (len(weights), len(graphs), n, n) stack of ``dtype``."""
+    Returns a (len(weights), len(graphs), n, n) float64 stack."""
     n = int(u.n[graphs[0]])
     if len(graphs) == len(u.n):  # every graph of u, in order
         at, i, j, w = u.egraph, u.li, u.lj, weights
@@ -52,7 +55,7 @@ def _laplacians(u: _Union, graphs: np.ndarray, weights: np.ndarray, dtype) -> np
         at = slot[u.egraph]
         keep = at >= 0
         at, i, j, w = at[keep], u.li[keep], u.lj[keep], weights[:, keep]
-    stack = np.zeros((len(w), len(graphs), n, n), dtype=dtype)
+    stack = np.zeros((len(w), len(graphs), n, n))
     # Each edge's two rows, numbered across the stack, per weight row; the
     # entries are written through flat indices, which numpy scatters faster
     # than a multi-axis index.
@@ -131,7 +134,7 @@ def _batch_spectra(u: _Union) -> dict[str, np.ndarray]:
             kinds = max(1, _BATCH_ELEMENTS // (len(graphs) * n * n))
             eigs = []
             for k in range(0, len(weights), kinds):
-                mats = _laplacians(u, graphs, weights[k:k + kinds], np.float64)
+                mats = _laplacians(u, graphs, weights[k:k + kinds])
                 eigs.append(_eigvalsh(mats))
                 del mats  # before the next chunk is built
             eigs = eigs[0] if len(eigs) == 1 else np.concatenate(eigs)
@@ -141,11 +144,17 @@ def _batch_spectra(u: _Union) -> dict[str, np.ndarray]:
 
 
 def _exact_traces(lap: np.ndarray) -> np.ndarray:
-    """(tr L, tr L^2, tr L^3) of each int64 matrix L of the stack ``lap``,
-    one row per matrix, by exact integer matrix products."""
-    square = lap @ lap
-    return np.array((lap.trace(axis1=1, axis2=2), square.trace(axis1=1, axis2=2),
-                     np.add.reduce(square * lap, axis=(1, 2)))).T
+    """(tr L, tr L^2, tr L^3) of each float64 Laplacian L of the stack
+    ``lap``, one int64 row per matrix, exact.
+
+    L @ L runs in float64, through BLAS.  Each partial sum of an entry of
+    L^2 is an integer of size at most Delta^2 + Delta (Delta, the largest
+    degree), so the product is exact in any summation order provided
+    Delta^2 + Delta < 2^53, which ``harness.MAX_GENERATED_VERTICES``
+    ensures.  tr L^3 can pass 2^53, so its sum runs in int64."""
+    ints, square = lap.astype(np.int64), (lap @ lap).astype(np.int64)
+    return np.array((ints.trace(axis1=1, axis2=2), square.trace(axis1=1, axis2=2),
+                     np.add.reduce(square * ints, axis=(1, 2)))).T
 
 
 def trace_moment(a: np.ndarray, k: int):

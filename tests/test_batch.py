@@ -118,7 +118,9 @@ class TestVerifyMatchesTrialLoop:
 
     @pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-3, -1.0])
     def test_seeded_configs(self, tol):
-        for n, p, q in ((10, 0.5, 0.5), (7, 0.2, 1.0), (12, 0.9, 0.0), (2, 1.0, 0.5)):
+        # n = 150 makes BLAS multiply the trace products in blocks.
+        for n, p, q in ((10, 0.5, 0.5), (7, 0.2, 1.0), (12, 0.9, 0.0), (2, 1.0, 0.5),
+                        (150, 0.5, 0.5)):
             cfg = GeneratorConfig(n=n, edge_prob=p, neg_prob=q, seed=n * 1000 + int(10 * p))
             assert verify(cfg, 12, tol) == oracle_verify(cfg, 12, tol)
 

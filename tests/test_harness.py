@@ -1,10 +1,12 @@
 import csv
+import inspect
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from common import K3N, P3P
+from common import K3N, P3P, oracle_generate
 from sglap import (
     SIGNED_CATALOG,
     GenerationError,
@@ -17,8 +19,11 @@ from sglap import (
     laplacian_rank,
     report,
     serialize_signed_graph,
+    spectra,
+    switch,
     verify,
 )
+from sglap.sgraph import edge_arrays
 
 
 class TestSplitMix64:
@@ -175,6 +180,33 @@ class TestVerify:
         rep = verify(GeneratorConfig(n=6, edge_prob=0.5, neg_prob=0.5, seed=31), 3)
         assert [(v.trial, v.check_id, v.value, v.reference, v.magnitude)
                 for v in rep.identity_failures] == [(0, "trace-3", 2.0 ** 53, 2.0 ** 53, 1.0)]
+
+    def test_one_switched_stack_per_chunk(self, monkeypatch):
+        # Three chunks of three trials at n = 7 (5 * 49 entries a trial).
+        # Each builds one float64 stack, its trials' switched Laplacians, from
+        # one weight row: the signs of switch(g, theta) of each trial.
+        cfg = GeneratorConfig(n=7, edge_prob=0.5, neg_prob=0.5, seed=99)
+        calls, real = [], harness._laplacians
+
+        def spy(u, graphs, weights):
+            stack = real(u, graphs, weights)
+            calls.append((weights, stack.dtype))
+            return stack
+
+        monkeypatch.setattr(harness, "_BATCH_ELEMENTS", 3 * 5 * 7 * 7)
+        monkeypatch.setattr(harness, "_laplacians", spy)
+        verify(cfg, 9)
+        seeds, signs = SplitMix64(cfg.seed), []
+        for _ in range(9):
+            g = oracle_generate(replace(cfg, seed=seeds.next_u64()))
+            rng = SplitMix64(seeds.next_u64())
+            th = tuple(-1 if rng.next_float() < 0.5 else 1 for _ in range(g.n))
+            signs.append(edge_arrays(switch(g, th))[2])
+        assert len(calls) == 3
+        for chunk, (weights, dtype) in enumerate(calls):
+            assert weights.shape[0] == 1 and dtype == np.float64
+            assert weights[0].tolist() == np.concatenate(signs[3 * chunk:3 * chunk + 3]).tolist()
+        assert len(inspect.signature(spectra._laplacians).parameters) == 3
 
     def test_planted_rank_failure(self, monkeypatch):
         # No eigenvalue lies above the planted threshold, so the numerical

@@ -19,8 +19,10 @@ from common import (
     random_graphs,
 )
 from sglap import (
+    GeneratorConfig,
     degree_profile,
     eigenvalues,
+    generate,
     laplacian,
     power_traces,
     rayleigh_moment,
@@ -28,6 +30,9 @@ from sglap import (
     trace_moment,
     triangle_stats,
 )
+from sglap.harness import MAX_GENERATED_VERTICES
+from sglap.sgraph import _Union
+from sglap.spectra import _exact_traces, _laplacians
 from test_sgraph import signed_graphs
 
 
@@ -208,6 +213,41 @@ class TestTraceMoment:
             want = sum(v ** k for v in spec)
             got = trace_moment(lap, k)
             assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
+class TestExactTraces:
+    """``_exact_traces`` multiplies float64 Laplacians through BLAS and must
+    give the exact integer traces an int64 product gives."""
+
+    # (tr L, tr L^2, tr L^3) of the three graphs below by int64 matrix
+    # products, each matrix on its own.
+    INT64_TRACES = [[143486, 51627474, 18632111762], [127640, 40885264, 13113124922],
+                    [151600, 57616920, 22012948294]]
+
+    def test_blocked_products_match_int64_products(self):
+        # At n = 400 BLAS multiplies in blocks, and each graph has a vertex
+        # of degree past 300, so the partial sums of L^2 reach about 10^5.
+        graphs = [generate(GeneratorConfig(n=400, edge_prob=p, neg_prob=q, seed=s))
+                  for p, q, s in ((0.9, 0.5, 1), (0.8, 0.0, 2), (0.95, 1.0, 3))]
+        assert min(degree_profile(g).max_deg for g in graphs) >= 300
+        u = _Union.of(graphs)
+        stack = _laplacians(u, np.arange(len(graphs)), u.sign[None])[0]
+        assert stack.dtype == np.float64
+        traces = _exact_traces(stack)
+        assert traces.dtype == np.int64
+        assert traces.tolist() == self.INT64_TRACES
+        assert [power_traces(g) for g in graphs] == [tuple(t) for t in self.INT64_TRACES]
+
+    def test_generated_orders_keep_the_products_exact(self):
+        # Every partial sum of an entry of L^2 is at most Delta^2 + Delta, so
+        # the float64 product is exact below 2^53.  Every partial sum of
+        # tr L^3 is at most tr Q^3 <= n (2 Delta)^3 for the signless
+        # Laplacian Q >= |L| entrywise, whose largest eigenvalue is at most
+        # 2 Delta, so the int64 sum cannot overflow.
+        n = MAX_GENERATED_VERTICES
+        delta = n - 1
+        assert delta ** 2 + delta < 2 ** 53
+        assert n * (2 * delta) ** 3 < 2 ** 63
 
 
 class TestRayleighMoment:
