@@ -100,10 +100,10 @@ def _cover_labels(count: int, i: np.ndarray, j: np.ndarray, negative: np.ndarray
     edge joins like nodes and a - edge unlike ones.  A component is
     balanced iff no vertex has both nodes in one cover component.  Cover
     components are labelled by hook-and-shortcut rounds, each a few numpy
-    passes over all cover edges at once, and each node gets the smallest
-    node of its component.  The rounds grow as log n: on paths, cycles,
-    stars, grids and trees with shuffled vertex numbers there were at most
-    14 at n = 10^4 and 20 at n = 10^6, both on a path.  Over a balanced
+    passes over all cover edges that leave every label a root; each node
+    gets the smallest node of its component.  The rounds grow as log n: on
+    shuffled paths, cycles, stars, grids and trees there were at most 9 at
+    n = 10^4 and 14 at n = 10^6, on a path or a cycle.  Over a balanced
     component with smallest vertex s the cover splits in two halves,
     labelled 2s (the half holding s's + node) and 2s + 1; over an
     unbalanced one both nodes of every vertex are labelled 2s.
@@ -115,17 +115,17 @@ def _cover_labels(count: int, i: np.ndarray, j: np.ndarray, negative: np.ndarray
     src = np.concatenate((plus_i, plus_i + 1))
     dst = np.concatenate((to_j, to_j ^ 1))
     del plus_i, to_j
-    # label[x] is a node of x's cover component, never above x, so once
-    # every label is its own and each edge's ends share one, each node is
-    # labelled by the smallest node of its component.
+    # label[x] is a node of x's cover component, never above x, with its own
+    # label, so once each edge's ends share one, each node is labelled by the
+    # smallest node of its component.  take: label[src] on int32 is 2.5x slower.
     label = np.arange(2 * count, dtype=np.int32)
-    while True:
-        at_src, at_dst = label[src], label[dst]
-        if (at_src == at_dst).all() and (label[label] == label).all():
-            return label
-        # Hook the larger label onto the smaller, then halve every path.
+    while not np.array_equal(at_src := label.take(src), at_dst := label.take(dst)):
+        # Hook the larger label onto the smaller, then jump to the roots.
         np.minimum.at(label, np.maximum(at_src, at_dst), np.minimum(at_src, at_dst))
-        label = label[label]
+        del at_src, at_dst  # before the next round's gathers
+        while not np.array_equal(up := label.take(label), label):
+            label = up
+    return label
 
 
 def _cover_reading(count: int, i: np.ndarray, j: np.ndarray,

@@ -37,8 +37,9 @@ def _load(path: str) -> SignedGraph:
 
 # Input bytes each thread of _load_all must have to parse.  A small file's
 # parse holds the GIL for most of its time, so a second thread only waits
-# for it: two 49 KB files loaded up to 70% slower on two threads than on one,
-# two 109 KB files 15-40% faster (2-vCPU machine).
+# for it: two 50 KB files loaded 20-60% slower on two threads than on one,
+# two 110 KB files from 2% faster to 8% slower, and two 289 KB files 12-22%
+# faster (2-vCPU machine, medians of 400 loads in a loop).
 _BYTES_PER_THREAD = 1 << 16
 
 

@@ -50,11 +50,10 @@ _BATCH_ELEMENTS = 1 << 22
 # Text exactly as serialize_signed_graph writes it, up to the order of the
 # edge lines and of the two indices on a line: the header, then "i j sign"
 # lines, every number at most 7 ASCII digits.  The header is matched here;
-# the lines are checked by numpy over the text's bytes (_serialized_signs).
+# numpy checks the lines and finds each number's end (_serialized_signs).
 _SERIALIZED_HEADER = re.compile(r"n [0-9]{1,7}\n")
-# The header's "n" and the signs as spaces, so a text in the serializer's
-# form reads as one flat run of integers: the vertex count, then two per edge.
-_NUMBERS_ONLY = bytes.maketrans(b"n+-", b"   ")
+# Entry w masks a little-endian word to the digit values of its top w bytes.
+_DIGIT_NIBBLES = np.array([0x0F0F0F0F0F0F0F0F >> s << s for s in range(64, 0, -8)], np.uint64)
 
 
 class GraphFormatError(ValueError):
@@ -411,9 +410,10 @@ def parse_signed_graph(text: str) -> SignedGraph:
     return _parse_lines(text)
 
 
-def _serialized_signs(text: str) -> tuple[bytes, np.ndarray] | None:
-    """``text``'s ASCII bytes and each edge line's sign byte, in line order,
-    if ``text`` is in the serializer's form; otherwise None.
+def _serialized_signs(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
+    """``text``'s ASCII bytes and, a row per edge line, the offsets of the
+    spaces ending its two numbers, their digit counts and its sign byte, if
+    ``text`` is in the serializer's form; otherwise None.
 
     After the header, the bytes that are not ASCII digits must repeat
     space, space, sign, newline, the body must end in that newline (or be
@@ -436,32 +436,41 @@ def _serialized_signs(text: str) -> tuple[bytes, np.ndarray] | None:
           & ((signs == ord("+")) | (signs == ord("-"))) & (body[newline] == ord("\n"))
           & (newline - space2 == 2)
           & (first >= 1) & (first <= 7) & (second >= 1) & (second <= 7))
-    return (raw, signs) if ok.all() else None
+    ends = np.column_stack((space1, space2))
+    ends += header.end()
+    return (raw, ends, np.array((first, second), dtype=np.uint8).T, signs) if ok.all() else None
 
 
-def _parse_serialized(raw: bytes, signs: np.ndarray) -> SignedGraph:
+def _parse_serialized(raw: bytes, ends: np.ndarray, widths: np.ndarray,
+                      signs: np.ndarray) -> SignedGraph:
     """The graph of the text :func:`_serialized_signs` accepted, held as its
     sorted :func:`edge_arrays`; the checked constructor raises ``ValueError``
     if the text breaks a rule of the format (the line reader then names the
-    error).
-    """
-    flat = np.fromstring(raw.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
-    n = int(flat[0])
+    error).  Each number is read once, as the little-endian word of the
+    eight bytes ending where it does, by simdjson's eight-digit parse."""
+    n = int(raw[2:raw.index(b"\n")])
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-    pairs = flat[1:].reshape(-1, 2)
+    # Indexing, not take, which would copy the view and the indices first.
+    pairs = np.ndarray(len(raw) + 1, "<u8", bytes(8) + raw, strides=(1,))[ends]
+    for mask, multiplier, shift in ((_DIGIT_NIBBLES[widths], 2561, 8),
+                                    (0x00FF00FF00FF00FF, 6553601, 16),
+                                    (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        pairs &= mask
+        pairs *= multiplier
+        pairs >>= shift
     # Smaller index first, then the edges sorted by (i, j) through one int64
     # key (n has at most 7 digits), unless they already ascend, as the
     # serializer writes them.  A repeated pair ends up next to its twin,
     # where the constructor's ascending check refuses it.
-    i, j = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-    sign = ord(",") - signs.astype(np.int64)  # "+" and "-" flank ","
-    del flat, pairs
-    edges = np.column_stack((i, j, sign))
-    key = i * (n + 1) + j
+    edges = np.empty((len(pairs), 3), dtype=np.int64)
+    np.minimum(pairs[:, 0], pairs[:, 1], out=edges[:, 0])
+    np.maximum(pairs[:, 0], pairs[:, 1], out=edges[:, 1])
+    np.subtract(ord(","), signs, out=edges[:, 2], dtype=np.int64)  # "+" and "-" flank ","
+    del pairs
+    key = edges[:, 0] * (n + 1) + edges[:, 1]
     if (key[1:] <= key[:-1]).any():
         edges = edges[np.argsort(key)]
-    del i, j, sign, key
     return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges))
 
 

@@ -39,6 +39,7 @@ from sglap import (
     switch,
     switching_equivalent,
 )
+from sglap.balance import _cover_labels
 from sglap.sgraph import edge_arrays
 from test_sgraph import signed_graphs
 
@@ -340,6 +341,24 @@ _SHAPES = {
 _CYCLIC = ("cycle", "grid", "isolated and small")
 
 
+def _shape_and_partners(shape):
+    """The graph of ``_SHAPES[shape]``, its vertex numbers shuffled and its
+    signs drawn, with a switching of it and, if it has an edge, the same
+    switching with its first edge flipped."""
+    rng = random.Random(shape)
+    n, pairs, shuffled = _SHAPES[shape](rng)
+    names = rng.sample(range(1, shuffled + 1), shuffled) + list(range(shuffled + 1, n + 1))
+    edges = [(names[a - 1], names[b - 1], rng.choice((1, -1))) for a, b in pairs]
+    g = SignedGraph.from_edges(n, edges)
+    h = switch(g, tuple(rng.choice((1, -1)) for _ in range(n)))
+    partners = [h]
+    if edges:
+        i, j = sorted(edges[0][:2])
+        s = 1 if (i, j, 1) in h.edges else -1
+        partners.append(SignedGraph(n, (h.edges - {(i, j, s)}) | {(i, j, -s)}))
+    return g, partners
+
+
 class TestSwitchingEquivalentShapes:
     """``switching_equivalent`` against ``oracle_switching_equivalent`` on
     shapes with long paths, deep trees, high degree and many components,
@@ -350,17 +369,7 @@ class TestSwitchingEquivalentShapes:
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     def test_matches_oracle(self, shape):
-        rng = random.Random(shape)
-        n, pairs, shuffled = _SHAPES[shape](rng)
-        names = rng.sample(range(1, shuffled + 1), shuffled) + list(range(shuffled + 1, n + 1))
-        edges = [(names[a - 1], names[b - 1], rng.choice((1, -1))) for a, b in pairs]
-        g = SignedGraph.from_edges(n, edges)
-        h = switch(g, tuple(rng.choice((1, -1)) for _ in range(n)))
-        partners = [h]
-        if edges:
-            i, j = sorted(edges[0][:2])
-            s = 1 if (i, j, 1) in h.edges else -1
-            partners.append(SignedGraph(n, (h.edges - {(i, j, s)}) | {(i, j, -s)}))
+        g, partners = _shape_and_partners(shape)
         for x in (g, *partners):
             assert balance_info(x) == expected_balance_info(x)
         verdicts = []
@@ -369,7 +378,32 @@ class TestSwitchingEquivalentShapes:
                 want = oracle_switching_equivalent(x, y)
                 assert switching_equivalent(x, y) == want
                 verdicts.append(want[0])
-        assert verdicts == [True, True] + [shape not in _CYCLIC] * 2 * bool(edges)
+        assert verdicts == [True, True] + [shape not in _CYCLIC] * 2 * bool(g.m)
+
+
+class TestCoverLabelsCertificate:
+    """``_cover_labels`` stops on a certificate: every label is its own
+    label, and both ends of every cover edge carry the same one.  Checked
+    on each shape's own signs and on its product signature with a
+    switching (and with the flipped partner), as ``switching_equivalent``
+    reads it."""
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_labels_are_roots_shared_along_every_edge(self, shape):
+        g, partners = _shape_and_partners(shape)
+        i, j, sign = edge_arrays(g)
+        signatures = [sign < 0] + [sign != edge_arrays(h)[2] for h in partners]
+        for negative in signatures:
+            label = _cover_labels(g.n, i - 1, j - 1, negative)
+            assert label.dtype == np.int32 and label.shape == (2 * g.n,)
+            assert np.array_equal(label[label], label)
+            # The cover's edges, built here: a + edge joins like nodes, a -
+            # edge unlike ones.
+            flip = negative.astype(np.int64)
+            src = np.concatenate((2 * (i - 1), 2 * (i - 1) + 1))
+            dst = np.concatenate((2 * (j - 1) + flip, 2 * (j - 1) + 1 - flip))
+            assert np.array_equal(label[src], label[dst])
+            assert (label <= np.arange(2 * g.n)).all()
 
 
 def expected_balance_info(g: SignedGraph) -> BalanceInfo:

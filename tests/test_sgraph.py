@@ -36,8 +36,9 @@ from sglap import (
     trace_moment,
     triangle_stats,
 )
-from sglap import cli
-from sglap.sgraph import _serialized_signs, edge_arrays
+from sglap import cli, sgraph
+from sglap.sgraph import (MAX_VERTICES, _parse_lines, _parse_serialized,
+                          _serialized_signs, edge_arrays)
 
 
 @st.composite
@@ -657,10 +658,80 @@ class TestSerializedFormCheck:
         form = _serialized_signs(text)
         assert (form is not None) == oracle_is_serialized(text)
         if form is not None:
-            raw, signs = form
+            raw, ends, widths, signs = form
             assert raw == text.encode("ascii")
             lines = text.split("\n")[1:-1]
             assert signs.tobytes() == "".join(line[-1] for line in lines).encode("ascii")
+            # Row k: where line k's two numbers end (the offset of the space
+            # after each) and how many digits each has.
+            assert ends.shape == widths.shape == (len(lines), 2)
+            start = text.index("\n") + 1
+            for line, end, width in zip(lines, ends.tolist(), widths.tolist()):
+                a, b, _ = line.split(" ")
+                assert width == [len(a), len(b)]
+                assert end == [start + len(a), start + len(a) + 1 + len(b)]
+                assert [text[e - w:e] for e, w in zip(end, width)] == [a, b]
+                start += len(line) + 1
+
+
+@st.composite
+def padded_serialized_texts(draw):
+    """Valid texts in the serializer's form whose numbers are 1 to 7 digits
+    wide, any of them with leading zeros, each pair written with either
+    index first, the lines shuffled."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2, MAX_VERTICES), st.just(MAX_VERTICES)))
+    ends = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                          unique_by=lambda p: frozenset(p), max_size=30))
+
+    def number(v):
+        return str(v).zfill(draw(st.integers(len(str(v)), 7)))
+
+    lines = [f"{number(a)} {number(b)} {draw(st.sampled_from('+-'))}\n" for a, b in pairs]
+    return f"n {number(n)}\n" + "".join(draw(st.permutations(lines)))
+
+
+class TestSerializedDecoder:
+    """The fast path's decoder, which reads each number once from the
+    positions and widths the form check found, against the line reader."""
+
+    @given(padded_serialized_texts())
+    @example("n 1000000\n999999 1000000 -\n")
+    @example("n 0000009\n0000001 0000009 +\n9 8 -\n")
+    @example("n 9876543\n1234567 7654321 +\n")  # over the limit: both reject it
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_line_reader(self, text):
+        form = _serialized_signs(text)
+        assert form is not None
+        try:
+            want = _parse_lines(text)
+        except GraphFormatError:
+            with pytest.raises(ValueError):
+                _parse_serialized(*form)
+            return
+        got = _parse_serialized(*form)
+        assert got.n == want.n
+        for x, y in zip(edge_arrays(got), edge_arrays(want), strict=True):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+    def test_largest_indices_on_the_fast_path(self, monkeypatch):
+        text = "n 1000000\n999999 1000000 -\n"
+        want = _parse_lines(text)
+        monkeypatch.setattr(sgraph, "_parse_lines", None)  # no fallback
+        got = parse_signed_graph(text)
+        assert "edges" not in got.__dict__  # built from the arrays
+        assert got == want and got.n == 1_000_000
+        for x, y in zip(edge_arrays(got), edge_arrays(want), strict=True):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("text", ["n 1234567\n0 00 -\n", "n 9999999\n"])
+    def test_rejected_text_gets_the_line_readers_error(self, text):
+        assert _serialized_signs(text) is not None
+        with pytest.raises(GraphFormatError) as want:
+            _parse_lines(text)
+        with pytest.raises(GraphFormatError) as got:
+            parse_signed_graph(text)
+        assert (str(got.value), got.value.line_no) == (str(want.value), want.value.line_no)
 
 
 # One input per GraphFormatError message, with its line number and the
