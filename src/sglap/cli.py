@@ -7,13 +7,14 @@ one machine, and at the default 3 decimals across machines.
 
 Every command that reads edge-list files reads them through
 :func:`_load_all`, which loads them concurrently: one thread per CPU this
-process may run on, but no more than one per file and one per 64 KiB of
+process may run on, but no more than one per file and one per 128 KiB of
 input.  It reports the first input, in argument order, that fails to load.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import math
 import os
@@ -21,26 +22,45 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
+
 from .balance import switching_equivalent
 from .bounds import DEFAULT_TOL, InternalInconsistencyError, evaluate_all
 from .harness import (GenerationError, GeneratorConfig, format_value, render_table,
                       report, verify)
-from .sgraph import GraphFormatError, SignedGraph, parse_signed_graph
+from .sgraph import GraphFormatError, SignedGraph, _parse_padded, parse_signed_graph
 from .spectra import eigenvalues, laplacian
 
 
 def _load(path: str) -> SignedGraph:
-    # "utf-8-sig" drops a leading byte-order mark, which editors on some
-    # systems write; the parser would read it as part of the first token.
-    return parse_signed_graph(Path(path).read_text(encoding="utf-8-sig"))
+    """The graph in the file at ``path``.  Its bytes are read once, into one
+    array behind eight zero bytes, where the parser's numpy path reads text
+    in the serializer's form; any other file is decoded and parsed as text."""
+    with open(path, "rb") as file:
+        padded = np.empty(8 + os.fstat(file.fileno()).st_size, dtype=np.uint8)
+        padded[:8] = 0
+        size = file.readinto(memoryview(padded)[8:])
+        rest = file.read()
+    padded = padded[:8 + size]
+    if rest:  # a file that grew, or has no size, such as a pipe
+        padded = np.concatenate((padded, np.frombuffer(rest, np.uint8)))
+    g = _parse_padded(padded)
+    if g is not None:
+        return g
+    # Decoded as a text-mode read decodes it: "utf-8-sig" drops a leading
+    # byte-order mark, which editors on some systems write, and the first
+    # bytes of one alone read as empty text.
+    return parse_signed_graph(codecs.getincrementaldecoder("utf-8-sig")().decode(
+        padded[8:].tobytes(), final=True))
 
 
 # Input bytes each thread of _load_all must have to parse.  A small file's
-# parse holds the GIL for most of its time, so a second thread only waits
-# for it: two 50 KB files loaded 20-60% slower on two threads than on one,
-# two 110 KB files from 2% faster to 8% slower, and two 289 KB files 12-22%
-# faster (2-vCPU machine, medians of 400 loads in a loop).
-_BYTES_PER_THREAD = 1 << 16
+# parse holds the GIL for much of its time, so a second thread mostly waits
+# for it: two files loaded on two threads against one were 65-76% slower at
+# 50 KB each, 20-26% slower at 110 KB, 3-7% faster at 160 KB and 10-13%
+# faster at 289 KB (2-vCPU machine, medians of 400 alternating loads, three
+# runs), so a pair of files starts a second thread from about 128 KiB each.
+_BYTES_PER_THREAD = 1 << 17
 
 
 def _load_all(paths: list[str]) -> list[SignedGraph]:
@@ -149,7 +169,7 @@ def _cmd_switch_check(args, tol: float) -> int:
     verdict = switching_equivalent(g1, g2)
     print(f"switching-equivalent: {'yes' if verdict.equivalent else 'no'}")
     if verdict.witness is not None:
-        print("theta: " + " ".join("+" if t > 0 else "-" for t in verdict.witness))
+        print("theta: " + " ".join(map({1: "+", -1: "-"}.__getitem__, verdict.witness)))
     return 0
 
 

@@ -50,10 +50,17 @@ _BATCH_ELEMENTS = 1 << 22
 # Text exactly as serialize_signed_graph writes it, up to the order of the
 # edge lines and of the two indices on a line: the header, then "i j sign"
 # lines, every number at most 7 ASCII digits.  The header is matched here;
-# numpy checks the lines and finds each number's end (_serialized_signs).
-_SERIALIZED_HEADER = re.compile(r"n [0-9]{1,7}\n")
-# Entry w masks a little-endian word to the digit values of its top w bytes.
-_DIGIT_NIBBLES = np.array([0x0F0F0F0F0F0F0F0F >> s << s for s in range(64, 0, -8)], np.uint64)
+# numpy checks the lines and reads the numbers (_serialized_rows).
+_SERIALIZED_HEADER = re.compile(rb"n ([0-9]{1,7})\n")
+# A little-endian word with the byte 1 in each of its eight bytes; k * _BYTES
+# holds the byte k in each.
+_BYTES = np.uint64(0x0101010101010101)
+# Multiplying a word whose bytes are 0 or 1 by this gathers byte k's value
+# into bit 56 + k.
+_GATHER_BITS = np.uint64(0x0102040810204080)
+# Entry v, for v with bit k set where byte k is not a digit: the digits on
+# top of a word's eight bytes.
+_TOP_DIGITS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.uint8)
 
 
 class GraphFormatError(ValueError):
@@ -392,86 +399,136 @@ def parse_signed_graph(text: str) -> SignedGraph:
     may exceed :data:`MAX_VERTICES`.
 
     Text in the form :func:`serialize_signed_graph` writes (edge lines in
-    any order, either index first) is read by numpy in one pass; any other
-    text, and any such text that breaks a rule, is read line by line, so
-    every error comes from the line reader.
+    any order, either index first) is read by numpy from its ASCII bytes
+    (:func:`_parse_padded`); any other text, and any such text that breaks
+    a rule, is read line by line, so every error comes from the line
+    reader.
 
     Raises:
         GraphFormatError: malformed line, duplicate edge, self-loop, index
             out of range, vertex count over the limit, or missing sign
             token, with the line number.
     """
-    form = _serialized_signs(text)
-    if form is not None:
-        try:
-            return _parse_serialized(*form)
-        except ValueError:
-            pass
+    if text.isascii():
+        g = _parse_padded(np.frombuffer(bytes(8) + text.encode("ascii"), np.uint8))
+        if g is not None:
+            return g
     return _parse_lines(text)
 
 
-def _serialized_signs(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray] | None:
-    """``text``'s ASCII bytes and, a row per edge line, the offsets of the
-    spaces ending its two numbers, their digit counts and its sign byte, if
-    ``text`` is in the serializer's form; otherwise None.
-
-    After the header, the bytes that are not ASCII digits must repeat
-    space, space, sign, newline, the body must end in that newline (or be
-    empty), and each of the two numbers a line starts with must have 1 to 7
-    digits.
-    """
-    header = _SERIALIZED_HEADER.match(text)
-    if header is None or not text.isascii():
+def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
+    """The graph of the text whose bytes are ``padded[8:]``, behind eight
+    zero bytes, held as its sorted :func:`edge_arrays`, if that text is in
+    the serializer's form (:func:`_serialized_rows`) and keeps every rule
+    of the format; otherwise None, and the line reader must read it and
+    name its error.  The checked constructor refuses a text that breaks a
+    rule."""
+    form = _serialized_rows(padded)
+    if form is None or form[0] > MAX_VERTICES:
         return None
-    raw = text.encode("ascii")
-    body = np.frombuffer(raw, dtype=np.uint8)[header.end():]
-    cuts = np.flatnonzero((body < ord("0")) | (body > ord("9")))
-    if not raw.endswith(b"\n") or cuts.size % 4:
-        return None
-    space1, space2, sign_at, newline = cuts.reshape(-1, 4).T
-    signs = body[sign_at]
-    first = space1 - np.concatenate(([0], newline[:-1] + 1))
-    second = space2 - space1 - 1
-    ok = ((body[space1] == ord(" ")) & (body[space2] == ord(" "))
-          & ((signs == ord("+")) | (signs == ord("-"))) & (body[newline] == ord("\n"))
-          & (newline - space2 == 2)
-          & (first >= 1) & (first <= 7) & (second >= 1) & (second <= 7))
-    ends = np.column_stack((space1, space2))
-    ends += header.end()
-    return (raw, ends, np.array((first, second), dtype=np.uint8).T, signs) if ok.all() else None
-
-
-def _parse_serialized(raw: bytes, ends: np.ndarray, widths: np.ndarray,
-                      signs: np.ndarray) -> SignedGraph:
-    """The graph of the text :func:`_serialized_signs` accepted, held as its
-    sorted :func:`edge_arrays`; the checked constructor raises ``ValueError``
-    if the text breaks a rule of the format (the line reader then names the
-    error).  Each number is read once, as the little-endian word of the
-    eight bytes ending where it does, by simdjson's eight-digit parse."""
-    n = int(raw[2:raw.index(b"\n")])
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-    # Indexing, not take, which would copy the view and the indices first.
-    pairs = np.ndarray(len(raw) + 1, "<u8", bytes(8) + raw, strides=(1,))[ends]
-    for mask, multiplier, shift in ((_DIGIT_NIBBLES[widths], 2561, 8),
-                                    (0x00FF00FF00FF00FF, 6553601, 16),
-                                    (0x0000FFFF0000FFFF, 42949672960001, 32)):
-        pairs &= mask
-        pairs *= multiplier
-        pairs >>= shift
-    # Smaller index first, then the edges sorted by (i, j) through one int64
+    n, rows = form
+    # Smaller index first, then the rows sorted by (i, j) through one int64
     # key (n has at most 7 digits), unless they already ascend, as the
     # serializer writes them.  A repeated pair ends up next to its twin,
     # where the constructor's ascending check refuses it.
-    edges = np.empty((len(pairs), 3), dtype=np.int64)
-    np.minimum(pairs[:, 0], pairs[:, 1], out=edges[:, 0])
-    np.maximum(pairs[:, 0], pairs[:, 1], out=edges[:, 1])
-    np.subtract(ord(","), signs, out=edges[:, 2], dtype=np.int64)  # "+" and "-" flank ","
-    del pairs
-    key = edges[:, 0] * (n + 1) + edges[:, 1]
+    i, j = rows[:, 0], rows[:, 1]
+    smaller = np.minimum(i, j)
+    np.maximum(i, j, out=j)
+    i[:] = smaller
+    del smaller
+    key = i * (n + 1)
+    key += j
     if (key[1:] <= key[:-1]).any():
-        edges = edges[np.argsort(key)]
-    return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges))
+        rows = rows[np.argsort(key)]
+    try:
+        return SignedGraph._from_edge_arrays(n, *_read_only_columns(rows))
+    except ValueError:
+        return None
+
+
+def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """``(n, rows)`` of the text whose bytes are ``padded[8:]`` if it is in
+    the serializer's form, otherwise None: the header's count and an int64
+    row ``(first number, second number, sign)`` per edge line, in the
+    text's order.
+
+    After the header, every line must be a number, a space, a number, a
+    space, a sign and a newline, the text must end in a newline, and each
+    number must have 1 to 7 ASCII digits.  Only the newlines are searched
+    for; each line is read from its end.  Its sign lies before its
+    newline, and each number is read once, as the little-endian word of
+    the eight bytes ending at the space after it (:func:`_read_numbers`):
+    the second number's word ends two bytes before the newline, the first
+    number's one byte before the second number's first digit.  The bytes
+    so found for a line, its numbers, spaces, sign and newline, cannot
+    hold the previous line's newline, so they are never more than the
+    line's bytes, and they are all of them on every line, with no bytes
+    after the last newline, iff they add up to the whole body.
+    """
+    text = padded[8:]
+    header = _SERIALIZED_HEADER.match(text[:10].tobytes())
+    if header is None:
+        return None
+    at = np.flatnonzero(text == ord("\n"))[1:]  # each edge line's newline
+    at -= 1
+    sign = text[at]
+    if not ((sign == ord("+")) | (sign == ord("-"))).all():
+        return None
+    rows = np.empty((len(at), 3), dtype=np.int64)
+    np.subtract(ord(","), sign, out=rows[:, 2], dtype=np.int64)  # "+" and "-" flank ","
+    del sign
+    # words[t + 1] is the word of the eight bytes ending at text byte t, so
+    # words[at] ends at the space before the byte at.
+    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
+    covered = 4 * len(at)  # the spaces, signs and newlines
+    for column in (1, 0):
+        digits = _read_numbers(words[at], rows[:, column])
+        if digits is None:
+            return None
+        covered += int(digits.sum(dtype=np.int64))
+        at -= digits
+        at -= 1
+    return (int(header[1]), rows) if covered == len(text) - header.end() else None
+
+
+def _read_numbers(words: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """The digit counts of the numbers each ending right below a word's top
+    byte, each decoded into ``out``; None unless each top byte is a space
+    and each number has 1 to 7 ASCII digits.  ``words`` is overwritten.
+
+    SWAR (SIMD within a register): the top bit of each byte flags a byte
+    that is not an ASCII digit, one multiply gathers the eight flags into
+    a byte, and a table gives the digits above the highest flag.  Each
+    number is then decoded in place by simdjson's eight-digit parse
+    (Langdale and Lemire, 2019).
+    """
+    space = (words >= 0x20 << 56) & (words < 0x21 << 56)  # the top byte is " "
+    words <<= 8  # the digits on top, and below them a zero byte, flagged
+    flags = words & (0x7F * _BYTES)
+    flags ^= 0x30 * _BYTES  # the seven low bits of a digit become 0 to 9
+    flags += 0x76 * _BYTES  # bit 7 set in each byte whose low bits exceed 9
+    flags |= words  # and in each byte that is not ASCII
+    flags &= 0x80 * _BYTES
+    flags >>= 7
+    flags *= _GATHER_BITS
+    flags >>= 56
+    digits = _TOP_DIGITS.take(flags.view(np.int64))
+    del flags
+    if not (space & (digits > 0)).all():
+        return None
+    below = 8 - digits
+    below <<= 3  # the bits below the digits, 8 to 56
+    words >>= below
+    words <<= below
+    words &= 0x0F * _BYTES
+    for multiplier, shift, mask in ((2561, 8, 0x00FF00FF00FF00FF),
+                                    (6553601, 16, 0x0000FFFF0000FFFF)):
+        words *= multiplier
+        words >>= shift
+        words &= mask
+    words *= 42949672960001
+    np.right_shift(words, 32, out=out)
+    return digits
 
 
 def _parse_lines(text: str) -> SignedGraph:

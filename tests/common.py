@@ -153,6 +153,33 @@ def oracle_is_serialized(text: str) -> bool:
     return bool(header) and not _ORACLE_NOT_EDGE_LINE.search(text, header.end())
 
 
+def oracle_cover_reading(count: int, i: np.ndarray, j: np.ndarray,
+                         negative: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(root, balanced, certificate)`` per vertex of a graph on vertices
+    0..count-1 with edges (i, j), ``negative`` where an edge is negative, by
+    the signed double cover the package labelled before its labels packed
+    the two sheets into a parity bit.
+
+    Vertex v becomes nodes 2v (its + node) and 2v + 1 (its - node); a +
+    edge joins like nodes and a - edge unlike ones.  Cover components are
+    labelled by hook-and-shortcut rounds that leave each node on the
+    smallest node of its component.  From plus = label[2v] and minus =
+    label[2v + 1]: the root min(plus, minus) >> 1, balanced iff plus !=
+    minus, and the certificate 1 - 2 * (plus & 1)."""
+    plus_i = (2 * i).astype(np.int32)
+    to_j = (2 * j).astype(np.int32)
+    to_j += negative
+    src = np.concatenate((plus_i, plus_i + 1))
+    dst = np.concatenate((to_j, to_j ^ 1))
+    label = np.arange(2 * count, dtype=np.int32)
+    while not np.array_equal(at_src := label.take(src), at_dst := label.take(dst)):
+        np.minimum.at(label, np.maximum(at_src, at_dst), np.minimum(at_src, at_dst))
+        while not np.array_equal(up := label.take(label), label):
+            label = up
+    plus, minus = label[0::2], label[1::2]
+    return np.minimum(plus, minus) >> 1, plus != minus, 1 - 2 * (plus & 1)
+
+
 def oracle_graph_error(n, edges) -> str | None:
     """The ``ValueError`` message ``SignedGraph(n, edges)`` must raise, or
     None: n and every edge entry must be exact ints (not bool, not numpy),

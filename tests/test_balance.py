@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from common import (
     oracle_balance_info,
     oracle_bipartite_components,
     oracle_components,
+    oracle_cover_reading,
     oracle_eigs,
     oracle_laplacian,
     oracle_switching_equivalent,
@@ -39,7 +41,8 @@ from sglap import (
     switch,
     switching_equivalent,
 )
-from sglap.balance import _cover_labels
+from sglap import balance
+from sglap.balance import _cover_reading, _parity_labels
 from sglap.sgraph import edge_arrays
 from test_sgraph import signed_graphs
 
@@ -382,11 +385,13 @@ class TestSwitchingEquivalentShapes:
 
 
 class TestCoverLabelsCertificate:
-    """``_cover_labels`` stops on a certificate: every label is its own
-    label, and both ends of every cover edge carry the same one.  Checked
-    on each shape's own signs and on its product signature with a
-    switching (and with the flipped partner), as ``switching_equivalent``
-    reads it."""
+    """``_parity_labels`` stops on a certificate: every label is 2 * root +
+    parity with the root never above its vertex and labelled 2 * root itself,
+    both ends of every edge share a root, and an edge is reported as
+    joining the cover's two sheets iff its ends' parities and its sign
+    disagree.  Checked on each shape's own signs and on its product
+    signature with a switching (and with the flipped partner), as
+    ``switching_equivalent`` reads it."""
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     def test_labels_are_roots_shared_along_every_edge(self, shape):
@@ -394,16 +399,90 @@ class TestCoverLabelsCertificate:
         i, j, sign = edge_arrays(g)
         signatures = [sign < 0] + [sign != edge_arrays(h)[2] for h in partners]
         for negative in signatures:
-            label = _cover_labels(g.n, i - 1, j - 1, negative)
-            assert label.dtype == np.int32 and label.shape == (2 * g.n,)
-            assert np.array_equal(label[label], label)
-            # The cover's edges, built here: a + edge joins like nodes, a -
-            # edge unlike ones.
-            flip = negative.astype(np.int64)
-            src = np.concatenate((2 * (i - 1), 2 * (i - 1) + 1))
-            dst = np.concatenate((2 * (j - 1) + flip, 2 * (j - 1) + 1 - flip))
-            assert np.array_equal(label[src], label[dst])
-            assert (label <= np.arange(2 * g.n)).all()
+            label, joins = _parity_labels(g.n, i - 1, j - 1, negative)
+            assert label.dtype == np.int32 and label.shape == (g.n,)
+            root = label >> 1
+            assert np.array_equal(label[root], 2 * root)
+            assert (root <= np.arange(g.n)).all()
+            assert np.array_equal(root[i - 1], root[j - 1])
+            assert joins.shape == (g.m,)
+            assert np.array_equal(joins, (label[i - 1] ^ label[j - 1] ^ negative) & 1)
+
+
+class CountingNumpy:
+    """numpy, with the calls of ``np.maximum`` counted: ``_parity_labels``
+    makes one per hook round.  A call past ``limit`` fails at once, where a
+    labelling that needs O(n) rounds would run for minutes."""
+
+    def __init__(self, limit):
+        self.rounds = 0
+        self.limit = limit
+
+    def maximum(self, *args, **kwargs):
+        self.rounds += 1
+        assert self.rounds <= self.limit, f"more than {self.limit} hook rounds"
+        return np.maximum(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _oracle_shapes(n, rng):
+    """0-based vertex pairs of shapes on n vertices, their vertex numbers
+    shuffled: a path, a cycle, a grid, a random recursive tree, and a star
+    whose centre is the largest vertex, its leaves in ascending order."""
+    order = rng.sample(range(n), n)
+    side = math.isqrt(n)
+    cells = [order[r * side:(r + 1) * side] for r in range(side)]
+    return {
+        "path": _path(order),
+        "cycle": _path(order) + [(order[-1], order[0])],
+        "grid": [pair for line in cells + [list(c) for c in zip(*cells)] for pair in _path(line)],
+        "random tree": [(order[rng.randrange(k)], order[k]) for k in range(1, n)],
+        "star, ascending leaves": [(v, n - 1) for v in range(n - 1)],
+    }
+
+
+class TestCoverReadingMatchesDoubleCover:
+    """``_cover_reading`` on the packed labels against the double-cover
+    labelling it replaced, frozen as ``oracle_cover_reading``: the same
+    root, balance and certificate arrays, dtypes included, on random
+    graphs and on shuffled shapes at n = 10^4, each with random signs and
+    with a switching of all-positive signs, which is balanced.  The hook
+    rounds stay within the README's bound of 9 at n = 10^4; a hook where
+    the last writer wins needs O(n) rounds on the star."""
+
+    def _check(self, count, i, j, negative):
+        got = _cover_reading(count, i, j, negative)
+        want = oracle_cover_reading(count, i, j, negative)
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_random_graphs(self):
+        for g in random_graphs(200, base_seed=8_800, n_min=1, n_max=20, prob_lo=0.05):
+            i, j, sign = edge_arrays(g)
+            self._check(g.n, i - 1, j - 1, sign < 0)
+            # The edges in reverse, each with its ends swapped.
+            self._check(g.n, j[::-1] - 1, i[::-1] - 1, sign[::-1] < 0)
+
+    @pytest.mark.parametrize("shape", ["path", "cycle", "grid", "random tree",
+                                       "star, ascending leaves"])
+    def test_shapes(self, shape, monkeypatch):
+        n = 10_000
+        rng = random.Random(shape)
+        pairs = np.array(_oracle_shapes(n, rng)[shape], dtype=np.int64)
+        i, j = pairs[:, 0].copy(), pairs[:, 1].copy()
+        theta = np.array([rng.random() < 0.5 for _ in range(n)])
+        for negative in (np.array([rng.random() < 0.5 for _ in range(len(i))]),
+                         theta[i] != theta[j]):
+            counting = CountingNumpy(limit=9)
+            monkeypatch.setattr(balance, "np", counting)
+            got = _cover_reading(n, i, j, negative)
+            monkeypatch.setattr(balance, "np", np)
+            assert counting.rounds >= 1
+            want = oracle_cover_reading(n, i, j, negative)
+            for x, y in zip(got, want, strict=True):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def expected_balance_info(g: SignedGraph) -> BalanceInfo:

@@ -269,6 +269,43 @@ class TestByteOrderMark:
         assert outputs[0][0] == 0 and not outputs[0][2]
         assert outputs[1] == outputs[0]
 
+    @pytest.mark.parametrize("text", ["n 3\n1 2 +\n2 3 -\n", "1 2 +\n2 3 -\n",
+                                      "n 4\n2 1 -\n3 4 +\n", "n 3\n1 2 +\n1 2 -\n"])
+    @pytest.mark.parametrize("command", ["bounds", "switch-check"])
+    def test_crlf_reads_like_lf(self, capsys, tmp_path, command, text):
+        """A file with CRLF (or CR) line ends, with or without a byte-order
+        mark, gives the bytes, errors included, of the same file with LF:
+        read as bytes, it goes to the line reader."""
+        outputs = []
+        for name, raw in (("lf", text), ("crlf", text.replace("\n", "\r\n")),
+                          ("cr", text.replace("\n", "\r")),
+                          ("bom-crlf", "\ufeff" + text.replace("\n", "\r\n"))):
+            path = tmp_path / f"{name}.sg"
+            path.write_bytes(raw.encode("utf-8"))
+            inputs = (["--a", str(path), "--b", str(path)] if command == "switch-check"
+                      else ["--input", str(path)])
+            outputs.append(run(capsys, [command, *inputs]))
+        assert outputs[1:] == outputs[:1] * 3
+
+
+class TestLoadBytes:
+    """``_load`` reads a file's bytes once; a file whose size says nothing
+    of its contents, such as a pipe, is read to its end all the same."""
+
+    def test_named_pipe(self, tmp_path):
+        fifo = tmp_path / "g.sg"
+        os.mkfifo(fifo)
+        text = "n 3000\n" + "".join(f"{k} {k + 1} -\n" for k in range(1, 3000))
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            g = sglap.cli._load(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert "edges" not in g.__dict__  # read by numpy
+        assert g == sglap.parse_signed_graph(text) and g.m == 2999
+
 
 class TestParserReuse:
     """main builds its argument parser once per process; a call that fails

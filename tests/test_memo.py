@@ -4,15 +4,11 @@ A graph stores its vertex count and its ``edge_arrays`` when it is built,
 and its edge set when something first reads it; nothing else.
 ``degree_profile``, ``triangle_stats``, ``balance_info``, ``laplacian`` and
 every bound are computed from the edge arrays on each call.  These tests
-check that a graph holds no other state, however it was made and whatever
-was computed on it, that every statistic equals the one of an equal but
-distinct graph, and that graphs derived from another graph match fresh
-ones.  Pickling and repeated evaluation are checked in
+check that every statistic equals the one of an equal but distinct graph,
+and that graphs derived from another graph match fresh ones.  That a graph
+holds no other state, pickling and repeated evaluation are checked in
 ``tests/test_graph_state.py``, which also holds the shared helpers.
 """
-
-import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -20,14 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import K3M, K3N, K3P, K3P_K3N, one_sign_subgraph, random_graphs
-import sglap
 from sglap import (
-    GeneratorConfig,
-    SignedGraph,
     balance_info,
     degree_profile,
-    evaluate_all,
-    generate,
     laplacian,
     parse_signed_graph,
     serialize_signed_graph,
@@ -141,45 +132,3 @@ class TestDerivedGraphsStartEmpty:
             assert_stats_equal_fresh(h)
         assert_stats_equal_fresh(g)
         assert balance_info(derived[0]).balanced_count == balance_info(g).balanced_count
-
-
-
-def compute_everything(g: SignedGraph) -> None:
-    """Every public statistic, matrix, bound and rendering of ``g``."""
-    warm(g)
-    evaluate_all(g, check=False)
-    for name in ("lb_net_mean", "lb_net_sq", "lb_net_cubic", "ub_wang_edge", "ub_wang_global",
-                 "ub_rank_trace", "lb_trace_sq", "lb_trace_cubic_a", "lb_trace_cubic_b",
-                 "ub_all_negative", "lb_interlacing", "classic_bounds", "unsigned_corollaries",
-                 "power_traces", "is_connected", "laplacian_rank", "serialize_signed_graph"):
-        getattr(sglap, name)(g)
-    for k in (1, 2, 3):
-        sglap.rayleigh_moment(g, k)
-    hash(g), repr(g), g == twin(g)
-
-
-class TestNoPerGraphState:
-    """A graph holds its vertex count, its edge arrays and, once something
-    reads it, its edge set, and nothing else: no cache of any statistic."""
-
-    def test_fields(self):
-        assert [f.name for f in dataclasses.fields(SignedGraph)] == ["n", "edges", "_arrays"]
-
-    def test_built_parsed_switched_and_unpickled_graphs(self):
-        for base in random_graphs(6, base_seed=4_900, n_min=1, n_max=12) + [twin(K3P_K3N)]:
-            text = serialize_signed_graph(base)
-            made = {
-                "built": twin(base),
-                "from_edges": SignedGraph.from_edges(base.n, [(j, i, s) for i, j, s in base.edges]),
-                "parsed": parse_signed_graph(text),
-                "parsed by lines": parse_signed_graph("# c\n" + text),
-                "switched": switch(base, (-1,) * base.n),
-                "all negative": sign_all(base, -1),
-                "unpickled": pickle.loads(pickle.dumps(base)),
-                "generated": generate(GeneratorConfig(n=base.n, edge_prob=0.5, neg_prob=0.5,
-                                                      seed=base.n)),
-            }
-            for how, g in made.items():
-                compute_everything(g)
-                state = set(vars(g))
-                assert {"n", "_arrays"} <= state <= {"n", "_arrays", "edges"}, how

@@ -37,8 +37,8 @@ from sglap import (
     triangle_stats,
 )
 from sglap import cli, sgraph
-from sglap.sgraph import (MAX_VERTICES, _parse_lines, _parse_serialized,
-                          _serialized_signs, edge_arrays)
+from sglap.sgraph import (MAX_VERTICES, _parse_lines, _parse_padded, _serialized_rows,
+                          edge_arrays)
 
 
 @st.composite
@@ -515,13 +515,13 @@ class TestParser:
         path = tmp_path / "g.sg"
         path.write_text(text, encoding="utf-8")
         parsed = []
-        parse = cli.parse_signed_graph
-        monkeypatch.setattr(cli, "parse_signed_graph",
-                            lambda source: parsed.append(parse(source)) or parsed[-1])
+        parse = cli._parse_padded
+        monkeypatch.setattr(cli, "_parse_padded",
+                            lambda padded: parsed.append(parse(padded)) or parsed[-1])
         assert cli.main(["bounds", "--input", str(path)]) == 0
         assert cli.main(["report", "--inputs", str(path), str(path)]) == 0
         assert "| g | Σ |" in capsys.readouterr().out
-        assert len(parsed) == 3
+        assert len(parsed) == 3 and None not in parsed  # all read by numpy
         assert not any("edges" in h.__dict__ for h in parsed)
 
     def test_switch_and_sign_all_build_from_the_edge_arrays(self):
@@ -626,6 +626,11 @@ def near_serialized_texts(draw):
     return header + body
 
 
+def padded(text: str) -> np.ndarray:
+    """``text``'s UTF-8 bytes behind eight zero bytes, as the loader holds a file."""
+    return np.frombuffer(bytes(8) + text.encode("utf-8"), np.uint8)
+
+
 class TestSerializedFormCheck:
     """The parser's numpy form check against the regular expressions it
     replaced, frozen as ``oracle_is_serialized``.  For each clause of the
@@ -653,25 +658,34 @@ class TestSerializedFormCheck:
     @example("n 9\n1 2 +\x85")  # a non-ASCII line end
     @example("n 9\n1 ٣ -\n")  # a non-ASCII digit
     @example("n 9\né")
+    @example("n 9\n +\n")  # a line too short for two numbers
+    @example("n 9\n7 +\n")  # one number
+    @example("n 9\n1 2 +\n 1 2 +\n")  # a space before the first number
     @settings(max_examples=600, deadline=None)
     def test_matches_the_regular_expressions(self, text):
-        form = _serialized_signs(text)
+        form = _serialized_rows(padded(text))
         assert (form is not None) == oracle_is_serialized(text)
         if form is not None:
-            raw, ends, widths, signs = form
-            assert raw == text.encode("ascii")
+            n, rows = form
+            assert n == int(text[2:text.index("\n")])
+            # Row k: line k's two numbers and its sign, in the text's order.
             lines = text.split("\n")[1:-1]
-            assert signs.tobytes() == "".join(line[-1] for line in lines).encode("ascii")
-            # Row k: where line k's two numbers end (the offset of the space
-            # after each) and how many digits each has.
-            assert ends.shape == widths.shape == (len(lines), 2)
-            start = text.index("\n") + 1
-            for line, end, width in zip(lines, ends.tolist(), widths.tolist()):
-                a, b, _ = line.split(" ")
-                assert width == [len(a), len(b)]
-                assert end == [start + len(a), start + len(a) + 1 + len(b)]
-                assert [text[e - w:e] for e, w in zip(end, width)] == [a, b]
-                start += len(line) + 1
+            assert rows.dtype == np.int64 and rows.shape == (len(lines), 3)
+            assert rows.tolist() == [[int(a), int(b), 1 if sign == "+" else -1]
+                                     for a, b, sign in map(str.split, lines)]
+
+
+    @pytest.mark.parametrize("line", [b"1 2 +\n", b"1234567 7654321 -\n"])
+    def test_bytes_above_ascii_are_not_digits(self, line):
+        """A file's bytes need not be UTF-8.  No byte from 0x80 up passes
+        for a digit, a space, a sign or a newline, in any place of a line,
+        even where its low seven bits are one (0xB0 to 0xB9 for digits)."""
+        text = b"n 9\n3 4 +\n"
+        assert _serialized_rows(np.frombuffer(bytes(8) + text + line, np.uint8)) is not None
+        for at in range(len(line)):
+            for byte in range(0x80, 0x100):
+                bad = line[:at] + bytes([byte]) + line[at + 1:]
+                assert _serialized_rows(np.frombuffer(bytes(8) + text + bad, np.uint8)) is None
 
 
 @st.composite
@@ -692,8 +706,8 @@ def padded_serialized_texts(draw):
 
 
 class TestSerializedDecoder:
-    """The fast path's decoder, which reads each number once from the
-    positions and widths the form check found, against the line reader."""
+    """The fast path's decoder, which decodes each number once from the
+    word the form check read it into, against the line reader."""
 
     @given(padded_serialized_texts())
     @example("n 1000000\n999999 1000000 -\n")
@@ -701,15 +715,13 @@ class TestSerializedDecoder:
     @example("n 9876543\n1234567 7654321 +\n")  # over the limit: both reject it
     @settings(max_examples=300, deadline=None)
     def test_matches_the_line_reader(self, text):
-        form = _serialized_signs(text)
-        assert form is not None
+        assert _serialized_rows(padded(text)) is not None
+        got = _parse_padded(padded(text))
         try:
             want = _parse_lines(text)
         except GraphFormatError:
-            with pytest.raises(ValueError):
-                _parse_serialized(*form)
+            assert got is None
             return
-        got = _parse_serialized(*form)
         assert got.n == want.n
         for x, y in zip(edge_arrays(got), edge_arrays(want), strict=True):
             assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
@@ -726,7 +738,7 @@ class TestSerializedDecoder:
 
     @pytest.mark.parametrize("text", ["n 1234567\n0 00 -\n", "n 9999999\n"])
     def test_rejected_text_gets_the_line_readers_error(self, text):
-        assert _serialized_signs(text) is not None
+        assert _serialized_rows(padded(text)) is not None
         with pytest.raises(GraphFormatError) as want:
             _parse_lines(text)
         with pytest.raises(GraphFormatError) as got:
