@@ -93,8 +93,7 @@ class _Facts:
     """The statistics :func:`_batch_facts` computes for a batch of graphs,
     as columns: every attribute but ``spectra`` is an array with one entry
     per graph.  ``spectra`` holds the graphs' ascending spectra back to
-    back, graph b's ``n[b]`` eigenvalues from ``first[b]`` on.  ``f[b]`` is
-    graph b's batch of one, and iterating yields them in order."""
+    back, graph b's ``n[b]`` eigenvalues from ``first[b]`` on."""
 
     def __init__(self, spectra: np.ndarray, **columns):
         self.spectra = spectra
@@ -102,11 +101,6 @@ class _Facts:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    def __getitem__(self, b: int) -> "_Facts":
-        if not 0 <= b < len(self):
-            raise IndexError(b)
-        return self.take(slice(b, b + 1))
 
     def take(self, rows) -> "_Facts":
         """The batch of the graphs ``rows`` selects (a mask or a slice)."""

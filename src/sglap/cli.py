@@ -5,10 +5,14 @@ SG_TOL overrides the default 1e-9 comparison tolerance; it must be a finite,
 non-negative number.  Identical flags and seed produce identical output on
 one machine, and at the default 3 decimals across machines.
 
-Every command that reads edge-list files reads them through
-:func:`_load_all`, which loads them concurrently: one thread per CPU this
-process may run on, but no more than one per file and one per 128 KiB of
-input.  It reports the first input, in argument order, that fails to load.
+Every command that reads edge-list files loads them with :func:`_load`, one
+after another in argument order, on the calling thread, so the first input
+that fails to load is the one reported.  The parse is numpy-bound, and a
+second thread saved nothing up to files of a few hundred KB: in one
+process on a 2-vCPU machine, ``switch-check`` on a pair of 47 KB files
+took 1.0 ms per call either way, and on a pair of 289 KB files 3.7 ms on
+this thread against 4.0 ms with each file on its own thread.  Only
+megabyte inputs gain from one (3.3 MB files: 40 against 29 ms).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import functools
 import math
 import os
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ from .balance import switching_equivalent
 from .bounds import DEFAULT_TOL, InternalInconsistencyError, evaluate_all
 from .harness import (GenerationError, GeneratorConfig, format_value, render_table,
                       report, verify)
-from .sgraph import GraphFormatError, SignedGraph, _parse_padded, parse_signed_graph
+from .sgraph import GraphFormatError, SignedGraph, _parse_lines, _parse_padded
 from .spectra import eigenvalues, laplacian
 
 
@@ -49,72 +52,14 @@ def _load(path: str) -> SignedGraph:
         return g
     # Decoded as a text-mode read decodes it: "utf-8-sig" drops a leading
     # byte-order mark, which editors on some systems write, and the first
-    # bytes of one alone read as empty text.
-    return parse_signed_graph(codecs.getincrementaldecoder("utf-8-sig")().decode(
+    # bytes of one alone read as empty text.  The form check has refused
+    # these bytes, so the text goes straight to the line reader.
+    return _parse_lines(codecs.getincrementaldecoder("utf-8-sig")().decode(
         padded[8:].tobytes(), final=True))
 
 
-# Input bytes each thread of _load_all must have to parse.  A small file's
-# parse holds the GIL for much of its time, so a second thread mostly waits
-# for it: two files loaded on two threads against one were 65-76% slower at
-# 50 KB each, 20-26% slower at 110 KB, 3-7% faster at 160 KB and 10-13%
-# faster at 289 KB (2-vCPU machine, medians of 400 alternating loads, three
-# runs), so a pair of files starts a second thread from about 128 KiB each.
-_BYTES_PER_THREAD = 1 << 17
-
-
-def _load_all(paths: list[str]) -> list[SignedGraph]:
-    """The graphs in ``paths``, in order, loaded on ``w`` threads at once.
-
-    ``w`` is the number of CPUs this process may run on, at most one per
-    path and one per ``_BYTES_PER_THREAD`` bytes of input, and at least 1.
-    The calling thread loads ``paths[0::w]`` and worker k, for k from 1 to
-    w - 1, ``paths[k::w]``: the parser spends its heavy steps in numpy,
-    which releases the GIL.  Every worker is joined before this returns or
-    raises.  If some path fails to load, the exception of the first such
-    path in argument order is raised unchanged, as a loop over the paths
-    would raise it.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        cpus = os.cpu_count() or 1
-    size = 0
-    for path in paths:
-        try:
-            size += os.stat(path).st_size
-        except OSError:
-            pass  # its load reports the error
-    w = max(1, min(len(paths), cpus, size // _BYTES_PER_THREAD))
-    loaded: list = [None] * len(paths)  # a graph, or the exception its path raised
-
-    def load(k: int) -> None:
-        for index in range(k, len(paths), w):
-            try:
-                loaded[index] = _load(paths[index])
-            except Exception as exc:
-                # Later paths of this stride come after it in argument order.
-                loaded[index] = exc
-                return
-
-    workers = []
-    try:
-        for k in range(1, w):
-            worker = threading.Thread(target=load, args=(k,))
-            worker.start()
-            workers.append(worker)
-        load(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for result in loaded:
-        if isinstance(result, Exception):
-            raise result
-    return loaded
-
-
 def _cmd_bounds(args, tol: float) -> int:
-    (g,) = _load_all([args.input])
+    g = _load(args.input)
     ev = evaluate_all(g, tol=tol)
     rows = [("lambda_max", "exact", format_value(ev.lambda_max, args.full_precision), "")]
     rows += [(r.bound_id, r.direction, format_value(r.value, args.full_precision),
@@ -124,7 +69,7 @@ def _cmd_bounds(args, tol: float) -> int:
 
 
 def _cmd_spectrum(args, tol: float) -> int:
-    (g,) = _load_all([args.input])
+    g = _load(args.input)
     spectrum = eigenvalues(laplacian(g))
     # An eigenvalue that is 0 in exact arithmetic comes back as rounding
     # residue whose digits depend on the LAPACK build; print it as 0.
@@ -134,7 +79,7 @@ def _cmd_spectrum(args, tol: float) -> int:
 
 
 def _cmd_report(args, tol: float) -> int:
-    graphs = _load_all(args.inputs)
+    graphs = [_load(path) for path in args.inputs]
     names = [Path(path).stem for path in args.inputs]
     sys.stdout.write(report(graphs, fmt=args.format, names=names,
                             full_precision=args.full_precision))
@@ -165,7 +110,7 @@ def _cmd_verify(args, tol: float) -> int:
 
 
 def _cmd_switch_check(args, tol: float) -> int:
-    g1, g2 = _load_all([args.a, args.b])
+    g1, g2 = _load(args.a), _load(args.b)
     verdict = switching_equivalent(g1, g2)
     print(f"switching-equivalent: {'yes' if verdict.equivalent else 'no'}")
     if verdict.witness is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from sglap import (
     SIGNED_CATALOG,
     UNSIGNED_CATALOG,
     BoundResult,
+    InternalInconsistencyError,
     SignedGraph,
     classic_bounds,
     degree_profile,
@@ -49,7 +51,8 @@ from sglap import (
     ub_wang_global,
     unsigned_corollaries,
 )
-from sglap import bounds
+from sglap import bounds, serialize_signed_graph
+from sglap.cli import main
 from test_sgraph import signed_graphs
 
 CUBE = 1.0 / 3.0
@@ -396,6 +399,21 @@ class TestEvaluateAll:
             sandwich_violations((ok,), 5.0, tol)
         with pytest.raises(ValueError, match="tol must be finite"):
             evaluate_all(K3M, tol=tol)
+
+    def test_violated_sandwich_raises(self, monkeypatch, tmp_path, capsys):
+        # KB-5 planted 10 above max_deg + 1: on K3N, whose radius is 4, it
+        # reads 12 and is too tight by 8.
+        planted = tuple(dataclasses.replace(row, formula=lambda f: f.max_deg + 10.0)
+                        if row.bound_id == "KB-5" else row for row in bounds._CATALOG)
+        monkeypatch.setattr(bounds, "_CATALOG", planted)
+        message = "bound sandwich violated: KB-5=12.0 off by 8.000e+00"
+        with pytest.raises(InternalInconsistencyError) as err:
+            evaluate_all(K3N)
+        assert str(err.value) == message
+        path = tmp_path / "k3n.sg"
+        path.write_text(serialize_signed_graph(K3N), encoding="utf-8")
+        assert main(["bounds", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_sandwich_on_random_connected(self):
         for g in random_graphs(100, base_seed=3000, connected=True):

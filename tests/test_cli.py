@@ -4,14 +4,13 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
 
 import sglap
 from common import K3M, K3N, K3P, P3P
-from sglap import serialize_signed_graph
+from sglap import serialize_signed_graph, switch
 from sglap.cli import main
 
 
@@ -288,6 +287,43 @@ class TestByteOrderMark:
         assert outputs[1:] == outputs[:1] * 3
 
 
+class TestOneFormCheckPerFile:
+    """A file the serializer-form check refuses goes straight to the line
+    reader, with no second check of its decoded text; a byte-order mark
+    before serializer-form text is read by the line reader into an equal
+    graph."""
+
+    @pytest.mark.parametrize("variant", ["crlf", "comment", "bom"])
+    def test_refused_file_is_checked_once(self, capsys, tmp_path, monkeypatch, variant):
+        text = serialize_signed_graph(K3M)
+        raw = {"crlf": text.replace("\n", "\r\n"), "comment": "# K3M\n" + text,
+               "bom": "\ufeff" + text}[variant]
+        lf, other, partner = tmp_path / "lf.sg", tmp_path / "other.sg", tmp_path / "partner.sg"
+        lf.write_text(text, encoding="utf-8")
+        other.write_bytes(raw.encode("utf-8"))
+        partner.write_text(serialize_signed_graph(switch(K3M, (-1, 1, 1))), encoding="utf-8")
+        assert sglap.cli._load(str(other)) == sglap.cli._load(str(lf))
+        calls = []
+        check = sglap.cli._parse_padded
+
+        def spy(padded):
+            calls.append(len(padded))
+            return check(padded)
+
+        monkeypatch.setattr("sglap.cli._parse_padded", spy)
+        monkeypatch.setattr("sglap.sgraph._parse_padded", spy)
+        outputs = {}
+        for path in (lf, other):
+            for argv, loads in ((["bounds", "--input", str(path)], 1),
+                                (["switch-check", "--a", str(path), "--b", str(partner)], 2)):
+                calls.clear()
+                outputs[path, argv[0]] = run(capsys, argv)
+                assert len(calls) == loads, (path.name, argv[0])
+        for command in ("bounds", "switch-check"):
+            assert outputs[lf, command][0] == 0 and not outputs[lf, command][2]
+            assert outputs[other, command] == outputs[lf, command]
+
+
 class TestLoadBytes:
     """``_load`` reads a file's bytes once; a file whose size says nothing
     of its contents, such as a pipe, is read to its end all the same."""
@@ -376,21 +412,9 @@ class TestHostileSizes:
 
 
 class TestLoadAll:
-    """Input files load concurrently, one thread per CPU, but never more than
-    one per file or per ``_BYTES_PER_THREAD`` bytes of input; the first bad
-    input in argument order is reported, with the message and exit code a
-    one-by-one loop gives."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the CPU count; any input is then large enough for a thread."""
-        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", 1)
-
-        def set_cpus(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                                raising=False)
-
-        return set_cpus
+    """Every command loads its inputs one after another, in argument order,
+    on the calling thread; the first bad input in argument order is
+    reported, with its message and exit code 2."""
 
     @pytest.fixture
     def load_threads(self, monkeypatch):
@@ -413,104 +437,51 @@ class TestLoadAll:
         return str(a), str(b)
 
     @pytest.mark.parametrize("b_missing", [False, True])
-    def test_both_inputs_bad_reports_a(self, capsys, cpus, bad_files, tmp_path, b_missing):
-        cpus(2)
+    def test_both_inputs_bad_reports_a(self, capsys, bad_files, tmp_path, b_missing):
         b = str(tmp_path / "missing.sg") if b_missing else bad_files[1]
         code, out, err = run(capsys, ["switch-check", "--a", bad_files[0], "--b", b])
         assert (code, out, err) == (2, "", "error: line 2: missing sign token\n")
 
-    def test_only_b_bad_reports_b(self, capsys, cpus, graph_file, bad_files):
-        cpus(2)
+    def test_only_b_bad_reports_b(self, capsys, graph_file, bad_files):
         code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
                                       "--b", bad_files[1]])
         assert (code, out, err) == (2, "", "error: line 3: self-loop at vertex 3\n")
 
-    def test_missing_file(self, capsys, cpus, graph_file, tmp_path):
-        cpus(2)
+    def test_missing_file(self, capsys, graph_file, tmp_path):
         missing = str(tmp_path / "missing.sg")
         code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
                                       "--b", missing])
         assert (code, out) == (2, "")
         assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
-    def test_memory_error_in_a_worker_thread(self, capsys, cpus, graph_file, monkeypatch):
-        cpus(2)
-        a, b = graph_file("m", K3M), graph_file("n", K3N)
-        raised_on = []
-        load = sglap.cli._load
-
-        def exhausted(path):
-            if path != b:
-                return load(path)
-            raised_on.append(threading.current_thread())
-            raise MemoryError
-
-        monkeypatch.setattr("sglap.cli._load", exhausted)
-        code, out, err = run(capsys, ["switch-check", "--a", a, "--b", b])
-        assert (code, out, err) == (2, "", "error: MemoryError\n")
-        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_report_runs_at_most_one_load_per_cpu(self, capsys, cpus, graph_file,
-                                                  monkeypatch, count):
-        paths = [graph_file(f"g{k}", g) for k, g in enumerate((K3M, K3N, K3P, P3P, K3M))]
-        argv = ["report", "--format", "csv", "--inputs", *paths]
-        cpus(1)
-        serial = run(capsys, argv)
-        cpus(count)
-        load = sglap.cli._load
-        lock = threading.Lock()
-        active, peak, threads = [0], [0], set()
-
-        def counted(path):
-            with lock:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                threads.add(threading.current_thread())
-            try:
-                time.sleep(0.02)  # long enough for the other threads to start theirs
-                return load(path)
-            finally:
-                with lock:
-                    active[0] -= 1
-
-        monkeypatch.setattr("sglap.cli._load", counted)
-        before = threading.active_count()
-        assert run(capsys, argv) == serial
-        assert serial[0] == 0 and serial[1]
-        assert threading.active_count() == before
-        assert len(threads) == count and peak[0] <= count
-
-    def test_one_input_starts_no_thread(self, capsys, cpus, graph_file, monkeypatch):
-        cpus(8)
-
-        def unstartable(*args, **kwargs):
-            raise AssertionError("a thread was started for a single input")
-
-        monkeypatch.setattr(threading, "Thread", unstartable)
-        code, out, err = run(capsys, ["spectrum", "--input", graph_file("p3p", P3P)])
-        assert code == 0 and out and not err
-
-    def test_without_affinity_uses_the_cpu_count(self, capsys, graph_file, monkeypatch,
-                                                 load_threads):
-        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", 1)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        code, out, _ = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
-                                    "--b", graph_file("n", K3N)])
-        assert code == 0 and "switching-equivalent: yes" in out
-        assert load_threads == {threading.main_thread()}
-
-    @pytest.mark.parametrize("blocks, threads", [(1, 1), (2, 2), (3, 2)])
-    def test_one_thread_per_block_of_input(self, capsys, graph_file, monkeypatch,
-                                           load_threads, blocks, threads):
+    def test_one_input_starts_no_thread(self, capsys, tmp_path, graph_file, monkeypatch):
+        """No command starts a thread, however many CPUs the process may
+        run on and however large its inputs: not for one input, not for two
+        serializer-form files of over 128 KiB each, and not for a report
+        over five files."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        paths = [graph_file("m", K3M), graph_file("n", K3N)]
-        size = sum(os.path.getsize(path) for path in paths)
-        monkeypatch.setattr("sglap.cli._BYTES_PER_THREAD", size // blocks)
-        code, out, _ = run(capsys, ["switch-check", "--a", paths[0], "--b", paths[1]])
-        assert code == 0 and "switching-equivalent: yes" in out
-        assert len(load_threads) == threads
+
+        def unstartable(self):
+            raise AssertionError("a command started a thread")
+
+        n = 20_000  # a path of n vertices, about 240 KB in the serializer's form
+        text = f"n {n}\n" + "".join(f"{k} {k + 1} +\n" for k in range(1, n))
+        pair = [tmp_path / "a.sg", tmp_path / "b.sg"]
+        for path in pair:
+            path.write_text(text, encoding="utf-8")
+            assert path.stat().st_size > 128 * 1024
+        # Five small graphs behind a long comment each: 300 KB in all.
+        reports = []
+        for k, g in enumerate((K3M, K3N, K3P, P3P, K3M)):
+            path = tmp_path / f"r{k}.sg"
+            path.write_text("#" * 60_000 + "\n" + serialize_signed_graph(g), encoding="utf-8")
+            reports.append(str(path))
+        monkeypatch.setattr(threading.Thread, "start", unstartable)
+        for argv in (["spectrum", "--input", graph_file("p3p", P3P)],
+                     ["switch-check", "--a", str(pair[0]), "--b", str(pair[1])],
+                     ["report", "--format", "csv", "--inputs", *reports]):
+            code, out, err = run(capsys, argv)
+            assert code == 0 and out and not err, argv
 
     def test_small_inputs_load_on_the_calling_thread(self, capsys, graph_file, monkeypatch,
                                                      load_threads):
@@ -524,8 +495,8 @@ class TestLoadAll:
 
 
 def test_import_loads_no_executor_module():
-    # Importing concurrent.futures costs several ms of every process start;
-    # the CLI's loader needs only threading, which numpy already imports.
+    # Importing concurrent.futures costs several ms of every process start,
+    # and the CLI loads its inputs on the calling thread.
     env = {**os.environ, "PYTHONPATH": str(Path(sglap.__file__).parents[1])}
     probe = ("import sys, sglap.cli; "
              "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "

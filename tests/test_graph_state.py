@@ -4,9 +4,10 @@ each call.
 A graph stores its vertex count and its ``edge_arrays`` when it is built,
 and its edge set when something first reads it; nothing else.  These tests
 check that a graph holds no other state, however it was made and whatever
-was computed on it, that a pickled graph comes back equal, through the
-checked constructor, and that repeated or concurrent evaluation is
-bit-identical.
+was computed on it, that graphs derived from another graph (switched,
+signed all one way, one-sign subgraphs) match fresh ones, that a pickled
+graph comes back equal, through the checked constructor, and that
+repeated or concurrent evaluation is bit-identical.
 The helpers here compare a graph's statistics with those of an equal but
 distinct graph.
 """
@@ -18,8 +19,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from common import K3P_K3N, random_graphs
+from common import K3M, K3P, K3P_K3N, one_sign_subgraph, random_graphs
 import sglap
 from sglap import (
     GeneratorConfig,
@@ -36,6 +39,7 @@ from sglap import (
     triangle_stats,
 )
 from sglap.sgraph import edge_arrays
+from test_sgraph import signed_graphs
 
 STATS = (degree_profile, triangle_stats, balance_info)
 
@@ -177,3 +181,53 @@ class TestNoPerGraphState:
                 compute_everything(g)
                 state = set(vars(g))
                 assert {"n", "_arrays"} <= state <= {"n", "_arrays", "edges"}, how
+
+
+class TestDerivedGraphsMatchFresh:
+    def test_switch_recomputes_balance(self):
+        g = twin(K3P)
+        assert balance_info(g).certificate == (1, 1, 1)
+        switched = switch(g, (-1, 1, 1))
+        assert sorted(s for _, _, s in switched.edges) == [-1, -1, 1]
+        assert balance_info(switched).certificate == (1, -1, -1)
+        assert_stats_equal_fresh(switched)
+
+    def test_sign_all_recomputes_statistics(self):
+        g = twin(K3M)
+        warm(g)
+        neg = sign_all(g, -1)
+        assert degree_profile(neg).d_neg == (2, 2, 2)
+        assert triangle_stats(neg).t_net == -1
+        assert balance_info(neg).balanced_count == 0
+        assert laplacian(neg).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert_stats_equal_fresh(neg)
+        pos = sign_all(g, 1)
+        assert balance_info(pos).balanced_count == 1
+        assert_stats_equal_fresh(pos)
+
+    def test_induced_subgraph_recomputes_statistics(self):
+        g = twin(K3M)
+        warm(g)
+        neg = one_sign_subgraph(g, -1)
+        assert degree_profile(neg).d == (1, 0, 1)
+        assert triangle_stats(neg).t == 0
+        assert balance_info(neg).component_count == 2
+        assert_stats_equal_fresh(neg)
+
+    @given(signed_graphs(max_n=9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_derived_graph_matches_fresh(self, g, data):
+        warm(g)
+        theta = data.draw(st.lists(st.sampled_from((1, -1)), min_size=g.n, max_size=g.n))
+        derived = (
+            switch(g, tuple(theta)),
+            sign_all(g, 1),
+            sign_all(g, -1),
+            one_sign_subgraph(g, 1),
+            one_sign_subgraph(g, -1),
+        )
+        for h in derived:
+            warm(h)
+            assert_stats_equal_fresh(h)
+        assert_stats_equal_fresh(g)
+        assert balance_info(derived[0]).balanced_count == balance_info(g).balanced_count
