@@ -172,21 +172,27 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> SwitchingVerdict:
 
     Requires identical underlying graphs; then the two are equivalent iff
     the product signature (edgewise sign product) is balanced on every
-    component.  Both graphs' :func:`edge_arrays` are sorted by pair, so
-    comparing their index arrays compares the underlying graphs and
-    multiplying their sign arrays gives the product signature, whose
-    balance is read off its double cover (:func:`_cover_reading`).  The
-    returned witness satisfies switch(g1, witness) == g2 and is +1 at the
-    smallest vertex of each component.
+    component.  The returned witness satisfies switch(g1, witness) == g2
+    and is +1 at the smallest vertex of each component.
     """
-    no = SwitchingVerdict(False, None)
+    theta = _switching_witness(g1, g2)
+    if theta is None:
+        return SwitchingVerdict(False, None)
+    return SwitchingVerdict(True, tuple(theta.tolist()))
+
+
+def _switching_witness(g1: SignedGraph, g2: SignedGraph) -> np.ndarray | None:
+    """The witness of :func:`switching_equivalent` as an integer array, or
+    None if the graphs are not switching equivalent.  Both graphs'
+    :func:`edge_arrays` are sorted by pair, so comparing their index arrays
+    compares the underlying graphs and multiplying their sign arrays gives
+    the product signature, whose balance is read off its double cover
+    (:func:`_cover_reading`)."""
     if g1.n != g2.n or g1.m != g2.m:
-        return no
+        return None
     i, j, s1 = edge_arrays(g1)
     i2, j2, s2 = edge_arrays(g2)
     if not (np.array_equal(i, i2) and np.array_equal(j, j2)):
-        return no
+        return None
     _, balanced, theta = _cover_reading(g1.n, i - 1, j - 1, s1 != s2)
-    if not balanced.all():
-        return no
-    return SwitchingVerdict(True, tuple(theta.tolist()))
+    return theta if balanced.all() else None

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import switching_equivalent
+from .balance import _switching_witness
 from .bounds import DEFAULT_TOL, InternalInconsistencyError, evaluate_all
 from .harness import (GenerationError, GeneratorConfig, format_value, render_table,
                       report, verify)
@@ -110,11 +110,13 @@ def _cmd_verify(args, tol: float) -> int:
 
 
 def _cmd_switch_check(args, tol: float) -> int:
-    g1, g2 = _load(args.a), _load(args.b)
-    verdict = switching_equivalent(g1, g2)
-    print(f"switching-equivalent: {'yes' if verdict.equivalent else 'no'}")
-    if verdict.witness is not None:
-        print("theta: " + " ".join(map({1: "+", -1: "-"}.__getitem__, verdict.witness)))
+    theta = _switching_witness(_load(args.a), _load(args.b))
+    print(f"switching-equivalent: {'no' if theta is None else 'yes'}")
+    if theta is not None:
+        # "+" and "-" flank ",": one byte per vertex, a space between two.
+        line = np.full(2 * len(theta) - 1, ord(" "), dtype=np.uint8)
+        line[::2] = ord(",") - theta
+        print("theta: " + line.tobytes().decode("ascii"))
     return 0
 
 

@@ -3,7 +3,8 @@
 Vertices are numbered 1..n.  An edge is a plain ``(i, j, sign)`` tuple
 with i < j and sign +1 or -1; graphs are simple (no loops, no parallel
 edges).  Every graph holds its edges as :func:`edge_arrays`, int64 arrays
-sorted by pair, from construction on, and every statistic reads them.  All
+sorted by pair, from construction on, and every statistic reads them.  They
+are the rows of one read-only (3, m) block, so each is unit-stride.  All
 types are immutable after construction; every operation here is a pure
 function.  Nothing is stored on a graph but its edges: each statistic is
 computed from the edge arrays afresh on every call.
@@ -129,7 +130,8 @@ class SignedGraph:
                 repeated.add((i, j))
         # Python's sort, not numpy's: it is the cheaper one at n = 10.
         object.__setattr__(self, "_arrays", _read_only_columns(np.fromiter(
-            itertools.chain.from_iterable(sorted(edges)), dtype=np.int64, count=3 * len(edges))))
+            itertools.chain.from_iterable(zip(*sorted(edges))), dtype=np.int64,
+            count=3 * len(edges))))
 
     @classmethod
     def _from_edge_arrays(cls, n: int, i: np.ndarray, j: np.ndarray,
@@ -151,7 +153,8 @@ class SignedGraph:
         return SignedGraph._from_edge_arrays(self.n, i, j, sign[:])
 
     def __reduce__(self):
-        # The edge arrays alone, so unpickling runs the constructor's checks.
+        # The edge arrays alone, so unpickling runs the constructor's checks,
+        # as the (m, 3) block earlier releases wrote, so their pickles load.
         return _unpickle_edge_block, (self.n, np.column_stack(self._arrays))
 
     def __getattr__(self, name):
@@ -185,24 +188,27 @@ class SignedGraph:
 
 
 def _read_only_columns(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (i, j, sign) columns of ``edges``, an array that owns its data and
-    holds three numbers per edge.  It becomes read-only, so no view of it
-    can be made writeable again."""
+    """The (i, j, sign) rows of ``edges``, a C-contiguous array that owns its
+    data and holds every edge's i, then every j, then every sign, so each
+    row is unit-stride.  It becomes read-only, so no view of it can be made
+    writeable again."""
     edges.setflags(write=False)
-    rows = edges.reshape(-1, 3)
-    return rows[:, 0], rows[:, 1], rows[:, 2]
+    i, j, sign = edges.reshape(3, -1)
+    return i, j, sign
 
 
 def _unpickle_edge_block(n: int, edges: np.ndarray) -> SignedGraph:
     """The array-built graph whose pickled edge arrays are the columns of
-    ``edges``, read from a copy: under pickle protocol 5 ``edges`` can view
-    a writeable buffer, through which the columns could be written."""
-    return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges.copy()))
+    ``edges``, an (m, 3) block, read from a C-order copy of its transpose:
+    under pickle protocol 5 ``edges`` can view a writeable buffer, through
+    which the arrays could be written."""
+    return SignedGraph._from_edge_arrays(n, *_read_only_columns(edges.T.copy()))
 
 
 def edge_arrays(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``g``'s edges as read-only int64 arrays ``(i, j, sign)`` sorted by
-    (i, j), so two graphs on the same pairs have equal ``i`` and ``j``."""
+    (i, j), so two graphs on the same pairs have equal ``i`` and ``j``; the
+    rows of one (3, m) block, each unit-stride."""
     return g._arrays
 
 
@@ -278,7 +284,7 @@ class _Union:
     def graph(self, b: int) -> SignedGraph:
         """Graph ``b`` on its own, held as its edge arrays."""
         lo, hi, base = self.eoff[b], self.eoff[b + 1], self.voff[b] - 1
-        rows = np.column_stack((self.i[lo:hi] - base, self.j[lo:hi] - base, self.sign[lo:hi]))
+        rows = np.stack((self.i[lo:hi] - base, self.j[lo:hi] - base, self.sign[lo:hi]))
         return SignedGraph._from_edge_arrays(int(self.n[b]), *_read_only_columns(rows))
 
 
@@ -427,11 +433,11 @@ def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
     if form is None or form[0] > MAX_VERTICES:
         return None
     n, rows = form
-    # Smaller index first, then the rows sorted by (i, j) through one int64
+    # Smaller index first, then the edges sorted by (i, j) through one int64
     # key (n has at most 7 digits), unless they already ascend, as the
     # serializer writes them.  A repeated pair ends up next to its twin,
     # where the constructor's ascending check refuses it.
-    i, j = rows[:, 0], rows[:, 1]
+    i, j = rows[0], rows[1]
     smaller = np.minimum(i, j)
     np.maximum(i, j, out=j)
     i[:] = smaller
@@ -439,7 +445,7 @@ def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
     key = i * (n + 1)
     key += j
     if (key[1:] <= key[:-1]).any():
-        rows = rows[np.argsort(key)]
+        rows = rows.take(np.argsort(key), axis=1)
     try:
         return SignedGraph._from_edge_arrays(n, *_read_only_columns(rows))
     except ValueError:
@@ -448,9 +454,9 @@ def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
 
 def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray] | None:
     """``(n, rows)`` of the text whose bytes are ``padded[8:]`` if it is in
-    the serializer's form, otherwise None: the header's count and an int64
-    row ``(first number, second number, sign)`` per edge line, in the
-    text's order.
+    the serializer's form, otherwise None: the header's count and a (3, m)
+    int64 block whose rows hold each edge line's first number, second
+    number and sign, in the text's order.
 
     After the header, every line must be a number, a space, a number, a
     space, a sign and a newline, the text must end in a newline, and each
@@ -474,15 +480,15 @@ def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray] | None:
     sign = text[at]
     if not ((sign == ord("+")) | (sign == ord("-"))).all():
         return None
-    rows = np.empty((len(at), 3), dtype=np.int64)
-    np.subtract(ord(","), sign, out=rows[:, 2], dtype=np.int64)  # "+" and "-" flank ","
+    rows = np.empty((3, len(at)), dtype=np.int64)
+    np.subtract(ord(","), sign, out=rows[2], dtype=np.int64)  # "+" and "-" flank ","
     del sign
     # words[t + 1] is the word of the eight bytes ending at text byte t, so
     # words[at] ends at the space before the byte at.
     words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
     covered = 4 * len(at)  # the spaces, signs and newlines
-    for column in (1, 0):
-        digits = _read_numbers(words[at], rows[:, column])
+    for row in (1, 0):
+        digits = _read_numbers(words[at], rows[row])
         if digits is None:
             return None
         covered += int(digits.sum(dtype=np.int64))

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sglap
-from common import K3M, K3N, K3P, P3P
-from sglap import serialize_signed_graph, switch
+from common import EMPTY3, K1, K3M, K3N, K3P, K3P_K3N, P3P, random_graphs
+from sglap import balance_info, serialize_signed_graph, switch, switching_equivalent
 from sglap.cli import main
 
 
@@ -250,6 +251,24 @@ class TestSwitchCheckCommand:
         assert "switching-equivalent: no" in out
         assert "theta:" not in out
 
+    def test_theta_line_matches_a_join_over_the_witness(self, capsys, graph_file):
+        """The witness, rendered from its array in one pass, reads like a
+        join of one sign character per vertex, on one vertex and on graphs
+        of several components alike."""
+        rng = random.Random(2028)
+        graphs = [K1, EMPTY3, K3P_K3N] + random_graphs(
+            60, base_seed=2_800, n_min=1, n_max=40, prob_lo=0.02, prob_hi=0.3)
+        assert max(balance_info(g).component_count for g in graphs) > 3
+        for g in graphs:
+            partner = switch(g, tuple(rng.choice((1, -1)) for _ in range(g.n)))
+            verdict = switching_equivalent(g, partner)
+            code, out, err = run(capsys, ["switch-check", "--a", graph_file("a", g),
+                                          "--b", graph_file("b", partner)])
+            assert (code, err) == (0, "")
+            assert out == ("switching-equivalent: yes\ntheta: "
+                           + " ".join(map({1: "+", -1: "-"}.__getitem__, verdict.witness))
+                           + "\n")
+
 
 class TestByteOrderMark:
     """A file that starts with a UTF-8 byte-order mark reads like the same
@@ -404,7 +423,7 @@ class TestHostileSizes:
         def exhausted(g1, g2):
             raise MemoryError
 
-        monkeypatch.setattr("sglap.cli.switching_equivalent", exhausted)
+        monkeypatch.setattr("sglap.cli._switching_witness", exhausted)
         code, out, err = run(capsys, ["switch-check", "--a", graph_file("m", K3M),
                                       "--b", graph_file("n", K3N)])
         assert code == 2 and not out

@@ -3,7 +3,9 @@ each call.
 
 A graph stores its vertex count and its ``edge_arrays`` when it is built,
 and its edge set when something first reads it; nothing else.  These tests
-check that a graph holds no other state, however it was made and whatever
+check that every statistic equals the one of an equal but distinct graph,
+that the edge arrays are unit-stride, read-only rows however the graph was
+made, that a graph holds no other state, however it was made and whatever
 was computed on it, that graphs derived from another graph (switched,
 signed all one way, one-sign subgraphs) match fresh ones, that a pickled
 graph comes back equal, through the checked constructor, and that
@@ -12,8 +14,10 @@ The helpers here compare a graph's statistics with those of an equal but
 distinct graph.
 """
 
+import base64
 import dataclasses
 import pickle
+import random
 import sys
 import threading
 
@@ -38,7 +42,7 @@ from sglap import (
     switch,
     triangle_stats,
 )
-from sglap.sgraph import edge_arrays
+from sglap.sgraph import _Union, edge_arrays
 from test_sgraph import signed_graphs
 
 STATS = (degree_profile, triangle_stats, balance_info)
@@ -68,6 +72,117 @@ def warm(g: SignedGraph) -> None:
         stat(g)
     laplacian(g)
     edge_arrays(g)
+
+
+class TestStatisticsMatchFresh:
+    def test_seeded_corpus(self):
+        for g in random_graphs(200, base_seed=4_100, n_max=12, n_min=1):
+            warm(g)
+            assert_stats_equal_fresh(g)
+
+    @given(signed_graphs(max_n=9))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, g):
+        warm(g)
+        assert_stats_equal_fresh(g)
+
+    def test_second_call_returns_an_equal_value(self):
+        # Only the edge arrays are stored; every statistic is computed again
+        # and comes out equal.
+        g = twin(K3M)
+        assert edge_arrays(g) is edge_arrays(g)
+        assert edge_arrays(g) is not edge_arrays(twin(g))
+        for fn in STATS:
+            assert fn(g) == fn(g) == fn(twin(g))
+        assert np.array_equal(laplacian(g), laplacian(g))
+
+
+# A graph pickled by an earlier release, which held its edges as the
+# columns of an (m, 3) block; the pickled form is that block still.
+# SignedGraph(5, {(1, 2, +1), (1, 3, -1), (2, 4, -1), (4, 5, +1)}) at
+# protocols 2 and 5.
+_EARLIER_PICKLES = {
+    2: "gAJjc2dsYXAuc2dyYXBoCl91bnBpY2tsZV9lZGdlX2Jsb2NrCnEASwVjbnVtcHkuX2NvcmUubXVsdGlhcnJheQpf"
+       "cmVjb25zdHJ1Y3QKcQFjbnVtcHkKbmRhcnJheQpxAksAhXEDY19jb2RlY3MKZW5jb2RlCnEEWAEAAABicQVYBgAA"
+       "AGxhdGluMXEGhnEHUnEIh3EJUnEKKEsBSwRLA4ZxC2NudW1weQpkdHlwZQpxDFgCAAAAaThxDYmIh3EOUnEPKEsD"
+       "WAEAAAA8cRBOTk5K/////0r/////SwB0cRFiiWgEWHAAAAABAAAAAAAAAAIAAAAAAAAAAQAAAAAAAAABAAAAAAAA"
+       "AAMAAAAAAAAAw7/Dv8O/w7/Dv8O/w7/DvwIAAAAAAAAABAAAAAAAAADDv8O/w7/Dv8O/w7/Dv8O/BAAAAAAAAAAF"
+       "AAAAAAAAAAEAAAAAAAAAcRJoBoZxE1JxFHRxFWKGcRZScRcu",
+    5: "gAWVBAEAAAAAAACMDHNnbGFwLnNncmFwaJSMFF91bnBpY2tsZV9lZGdlX2Jsb2NrlJOUSwWME251bXB5Ll9jb3Jl"
+       "Lm51bWVyaWOUjAtfZnJvbWJ1ZmZlcpSTlCiWYAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAQAAAAAAAAABAAAAAAAA"
+       "AAMAAAAAAAAA//////////8CAAAAAAAAAAQAAAAAAAAA//////////8EAAAAAAAAAAUAAAAAAAAAAQAAAAAAAACU"
+       "jAVudW1weZSMBWR0eXBllJOUjAJpOJSJiIeUUpQoSwOMATyUTk5OSv////9K/////0sAdJRiSwRLA4aUjAFDlHSU"
+       "UpSGlFKULg==",
+}
+
+
+def assert_unit_stride_rows(g: SignedGraph, *, own_signs: bool = False) -> None:
+    """``g``'s edge arrays are read-only, C-contiguous, unit-stride int64
+    rows laid end to end, ``i`` then ``j`` then ``sign``, as the rows of
+    one (3, m) block are; a switched or re-signed graph (``own_signs``)
+    keeps its source's ``i`` and ``j`` and holds its signs apart."""
+    i, j, sign = edge_arrays(g)
+    for row in (i, j, sign):
+        assert row.dtype == np.int64 and row.shape == (g.m,) and row.flags.c_contiguous
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row.setflags(write=True)
+    if g.m:  # an empty row has no bytes to lay out, nor a meaningful stride
+        assert i.strides == j.strides == sign.strides == (8,)
+        address = [row.__array_interface__["data"][0] for row in (i, j, sign)]
+        assert address[1] == address[0] + 8 * g.m
+        if not own_signs:
+            assert address[2] == address[1] + 8 * g.m
+
+
+class TestEdgeBlockLayout:
+    """Every graph, however it was made, holds its edges as unit-stride rows."""
+
+    @staticmethod
+    def _graphs():
+        return ([SignedGraph(4, frozenset()), SignedGraph(4, frozenset({(2, 3, -1)}))]
+                + random_graphs(12, base_seed=2_810, n_min=1, n_max=12) + [twin(K3P_K3N)])
+
+    def test_every_construction_path(self):
+        rng = random.Random(2810)
+        for g in self._graphs():
+            text = serialize_signed_graph(g)
+            header, *lines = text.splitlines(keepends=True)
+            rng.shuffle(lines)
+            made = {
+                "frozenset": twin(g),
+                "from_edges": SignedGraph.from_edges(g.n, [(j, i, s) for i, j, s in g.edges]),
+                "parsed": parse_signed_graph(text),
+                "parsed shuffled": parse_signed_graph(header + "".join(lines)),
+                "parsed by lines": parse_signed_graph("# c\n" + text),
+                "union member": _Union.of([K3P, g, K3M]).graph(1),
+            }
+            assert "edges" not in made["parsed shuffled"].__dict__  # the fast path
+            for how, h in made.items():
+                assert h == g, how
+                assert_unit_stride_rows(h)
+            theta = tuple(rng.choice((1, -1)) for _ in range(g.n))
+            for h in (switch(g, theta), sign_all(g, 1), sign_all(g, -1)):
+                assert_unit_stride_rows(h, own_signs=True)
+
+    def test_unpickled_at_every_protocol(self):
+        for g in self._graphs():
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                got = pickle.loads(pickle.dumps(g, protocol=protocol))
+                assert got == g
+                assert_unit_stride_rows(got)
+
+    @pytest.mark.parametrize("protocol", sorted(_EARLIER_PICKLES))
+    def test_earlier_pickle_loads_equal(self, protocol):
+        want = SignedGraph(5, frozenset({(1, 2, 1), (1, 3, -1), (2, 4, -1), (4, 5, 1)}))
+        data = base64.b64decode(_EARLIER_PICKLES[protocol])
+        got = pickle.loads(data)
+        assert "edges" not in got.__dict__
+        assert got == want and hash(got) == hash(want)
+        assert_unit_stride_rows(got)
+        assert_stats_equal_fresh(got)
+        # This release still writes that form.
+        assert pickle.dumps(want, protocol=protocol) == data
 
 
 class TestPickle:

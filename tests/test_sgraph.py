@@ -668,11 +668,11 @@ class TestSerializedFormCheck:
         if form is not None:
             n, rows = form
             assert n == int(text[2:text.index("\n")])
-            # Row k: line k's two numbers and its sign, in the text's order.
+            # Column k: line k's two numbers and its sign, in the text's order.
             lines = text.split("\n")[1:-1]
-            assert rows.dtype == np.int64 and rows.shape == (len(lines), 3)
-            assert rows.tolist() == [[int(a), int(b), 1 if sign == "+" else -1]
-                                     for a, b, sign in map(str.split, lines)]
+            assert rows.dtype == np.int64 and rows.shape == (3, len(lines))
+            assert rows.T.tolist() == [[int(a), int(b), 1 if sign == "+" else -1]
+                                       for a, b, sign in map(str.split, lines)]
 
 
     @pytest.mark.parametrize("line", [b"1 2 +\n", b"1234567 7654321 -\n"])
