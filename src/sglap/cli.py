@@ -7,12 +7,12 @@ one machine, and at the default 3 decimals across machines.
 
 Every command that reads edge-list files loads them with :func:`_load`, one
 after another in argument order, on the calling thread, so the first input
-that fails to load is the one reported.  The parse is numpy-bound, and a
-second thread saved nothing up to files of a few hundred KB: in one
-process on a 2-vCPU machine, ``switch-check`` on a pair of 47 KB files
-took 1.0 ms per call either way, and on a pair of 289 KB files 3.7 ms on
-this thread against 4.0 ms with each file on its own thread.  Only
-megabyte inputs gain from one (3.3 MB files: 40 against 29 ms).
+that fails to load is the one reported; a second thread saved nothing below
+inputs of a megabyte (README).  ``switch-check`` parses file a, then reads
+file b by its sign bytes alone if b's bytes equal a's but for a ``+`` or
+``-`` at each of a's sign bytes, as a switching of a written by the
+serializer does (:func:`sglap.sgraph._resigned_twin`); any other b is
+loaded like a.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from .spectra import eigenvalues, laplacian
 
 
 def _load(path: str) -> SignedGraph:
-    """The graph in the file at ``path``.  Its bytes are read once, into one
-    array behind eight zero bytes, where the parser's numpy path reads text
-    in the serializer's form; any other file is decoded and parsed as text."""
+    return _parse(_read(path))
+
+
+def _read(path: str) -> np.ndarray:
+    """The bytes of the file at ``path``, read once into one array behind eight zero bytes."""
     with open(path, "rb") as file:
         padded = np.empty(8 + os.fstat(file.fileno()).st_size, dtype=np.uint8)
         padded[:8] = 0
@@ -47,13 +49,18 @@ def _load(path: str) -> SignedGraph:
     padded = padded[:8 + size]
     if rest:  # a file that grew, or has no size, such as a pipe
         padded = np.concatenate((padded, np.frombuffer(rest, np.uint8)))
+    return padded
+
+
+def _parse(padded: np.ndarray) -> SignedGraph:
     g = _parse_padded(padded)
-    if g is not None:
-        return g
-    # Decoded as a text-mode read decodes it: "utf-8-sig" drops a leading
-    # byte-order mark, which editors on some systems write, and the first
-    # bytes of one alone read as empty text.  The form check has refused
-    # these bytes, so the text goes straight to the line reader.
+    return _parse_text(padded) if g is None else g
+
+
+def _parse_text(padded: np.ndarray) -> SignedGraph:
+    """Bytes the form check refused, decoded as a text-mode read decodes them
+    ("utf-8-sig" drops a leading byte-order mark, which some editors write, and
+    the first bytes of one alone read as empty text), read by the line reader."""
     return _parse_lines(codecs.getincrementaldecoder("utf-8-sig")().decode(
         padded[8:].tobytes(), final=True))
 
@@ -110,7 +117,12 @@ def _cmd_verify(args, tol: float) -> int:
 
 
 def _cmd_switch_check(args, tol: float) -> int:
-    theta = _switching_witness(_load(args.a), _load(args.b))
+    padded = _read(args.a)
+    g1, resign = _parse_padded(padded, resigner=True) or (_parse_text(padded), None)
+    padded = _read(args.b)
+    g2 = resign and resign(padded)
+    del resign  # and with it a's bytes
+    theta = _switching_witness(g1, _parse(padded) if g2 is None else g2)
     print(f"switching-equivalent: {'no' if theta is None else 'yes'}")
     if theta is not None:
         # "+" and "-" flank ",": one byte per vertex, a space between two.

@@ -422,17 +422,17 @@ def parse_signed_graph(text: str) -> SignedGraph:
     return _parse_lines(text)
 
 
-def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
+def _parse_padded(padded: np.ndarray, resigner: bool = False) -> SignedGraph | tuple | None:
     """The graph of the text whose bytes are ``padded[8:]``, behind eight
     zero bytes, held as its sorted :func:`edge_arrays`, if that text is in
     the serializer's form (:func:`_serialized_rows`) and keeps every rule
-    of the format; otherwise None, and the line reader must read it and
-    name its error.  The checked constructor refuses a text that breaks a
-    rule."""
+    of the format, as the checked constructor checks; otherwise None, and
+    the line reader must read it and name its error.  With ``resigner``,
+    ``(g, resign)``: ``resign`` reads a text differing only in sign bytes by them."""
     form = _serialized_rows(padded)
     if form is None or form[0] > MAX_VERTICES:
         return None
-    n, rows = form
+    n, rows, starts = form
     # Smaller index first, then the edges sorted by (i, j) through one int64
     # key (n has at most 7 digits), unless they already ascend, as the
     # serializer writes them.  A repeated pair ends up next to its twin,
@@ -444,19 +444,37 @@ def _parse_padded(padded: np.ndarray) -> SignedGraph | None:
     del smaller
     key = i * (n + 1)
     key += j
+    order = None
     if (key[1:] <= key[:-1]).any():
-        rows = rows.take(np.argsort(key), axis=1)
+        rows = rows.take(order := np.argsort(key), axis=1)
     try:
-        return SignedGraph._from_edge_arrays(n, *_read_only_columns(rows))
+        g = SignedGraph._from_edge_arrays(n, *_read_only_columns(rows))
     except ValueError:
         return None
+    return (g, lambda other: _resigned_twin(g, padded, starts, order, other)) if resigner else g
 
 
-def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """``(n, rows)`` of the text whose bytes are ``padded[8:]`` if it is in
-    the serializer's form, otherwise None: the header's count and a (3, m)
-    int64 block whose rows hold each edge line's first number, second
-    number and sign, in the text's order.
+def _resigned_twin(g: SignedGraph, padded, starts, order, other) -> SignedGraph | None:
+    """``g``, read from ``padded`` with lines starting at ``starts``, in rows
+    ordered by ``order`` (None: as read), re-signed by the padded text
+    ``other`` if it differs only in a ``+`` or ``-`` at its sign bytes; else None."""
+    if len(other) != len(padded):
+        return None
+    # A line's sign lies two bytes before the next line's start, or the end.
+    sign = np.append(other[6:].take(starts[1:]), other[-2:-1])[:len(starts)]
+    if ((sign != ord("+")) & (sign != ord("-"))).any():
+        return None
+    sign = np.subtract(ord(","), sign if order is None else sign.take(order), dtype=np.int64)
+    # Every byte that differs is a sign byte iff as many bytes as signs differ.
+    same = np.count_nonzero(padded != other) == np.count_nonzero(sign != edge_arrays(g)[2])
+    return g._resigned(sign) if same else None
+
+
+def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(n, rows, starts)`` of the text whose bytes are ``padded[8:]`` if it
+    is in the serializer's form, otherwise None: the header's count, a (3, m)
+    int64 block of each edge line's numbers and sign, in the text's order,
+    and where in the text each edge line starts.
 
     After the header, every line must be a number, a space, a number, a
     space, a sign and a newline, the text must end in a newline, and each
@@ -494,7 +512,7 @@ def _serialized_rows(padded: np.ndarray) -> tuple[int, np.ndarray] | None:
         covered += int(digits.sum(dtype=np.int64))
         at -= digits
         at -= 1
-    return (int(header[1]), rows) if covered == len(text) - header.end() else None
+    return (int(header[1]), rows, at) if covered == len(text) - header.end() else None
 
 
 def _read_numbers(words: np.ndarray, out: np.ndarray) -> np.ndarray | None:

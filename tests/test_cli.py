@@ -8,11 +8,16 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sglap
 from common import EMPTY3, K1, K3M, K3N, K3P, K3P_K3N, P3P, random_graphs
-from sglap import balance_info, serialize_signed_graph, switch, switching_equivalent
+from sglap import (GeneratorConfig, GraphFormatError, SignedGraph, balance_info, generate,
+                   parse_signed_graph, serialize_signed_graph, switch, switching_equivalent)
 from sglap.cli import main
+from sglap.sgraph import edge_arrays
+from test_sgraph import signed_graphs
 
 
 @pytest.fixture
@@ -270,6 +275,122 @@ class TestSwitchCheckCommand:
                            + "\n")
 
 
+def verdict_output(verdict) -> str:
+    """switch-check's stdout for a ``switching_equivalent`` verdict."""
+    if not verdict.equivalent:
+        return "switching-equivalent: no\n"
+    return ("switching-equivalent: yes\ntheta: "
+            + " ".join("+" if v > 0 else "-" for v in verdict.witness) + "\n")
+
+
+def flipped(g: SignedGraph, k: int) -> SignedGraph:
+    """``g`` with the sign of its k-th edge, in sorted order, flipped."""
+    i, j, sign = (row.tolist() for row in edge_arrays(g))
+    sign[k] = -sign[k]
+    return SignedGraph(g.n, frozenset(zip(i, j, sign)))
+
+
+class TestSwitchCheckReadsSignBytes:
+    """A second file whose bytes equal the first's but for a ``+`` or ``-``
+    at each of its sign bytes is read by those bytes alone, into the graph
+    and the output the general path gives; any other second file is loaded
+    as the first is."""
+
+    @given(signed_graphs(max_n=9), st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_output_as_the_general_path(self, capsys, tmp_path, g, data):
+        theta = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=g.n,
+                                         max_size=g.n)))
+        partner = switch(g, theta)
+        if g.m and data.draw(st.booleans()):
+            # One flipped edge: on a cycle it makes the pair inequivalent.
+            partner = flipped(partner, data.draw(st.integers(0, g.m - 1)))
+        # a's lines in any order, b's in the same order: the same layout.
+        order = data.draw(st.permutations(range(g.m)))
+        header, *lines = serialize_signed_graph(g).splitlines(keepends=True)
+        a = tmp_path / "a.sg"
+        a.write_text(header + "".join(lines[k] for k in order), encoding="utf-8")
+        header, *lines = serialize_signed_graph(partner).splitlines(keepends=True)
+        texts = {"same layout": header + "".join(lines[k] for k in order),
+                 "shuffled": header + "".join(data.draw(st.permutations(lines))),
+                 "indices swapped": header + "".join(f"{j} {i} {sign}\n" for i, j, sign
+                                                     in map(str.split, lines))}
+        outputs = {}
+        for name, text in texts.items():
+            b = tmp_path / "b.sg"
+            b.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, ["switch-check", "--a", str(a), "--b", str(b)])
+            assert (code, err) == (0, ""), name
+            outputs[name] = out
+        assert set(outputs.values()) == {verdict_output(switching_equivalent(g, partner))}
+
+    @pytest.mark.parametrize("graph", ["readme", "n200"])
+    def test_same_layout_decodes_numbers_once(self, capsys, tmp_path, monkeypatch, graph):
+        """Only the first file's numbers are decoded; the second graph keeps
+        the first one's pairs and takes its signs from the second file,
+        also when the first file's lines do not ascend (the README's
+        k3m.sg)."""
+        if graph == "readme":
+            text_a, text_b = ("n 3\n1 2 +\n2 3 +\n1 3 -\n", "n 3\n1 2 -\n2 3 -\n1 3 -\n")
+        else:
+            g = generate(GeneratorConfig(n=200, edge_prob=0.05, neg_prob=0.5, seed=29))
+            rng = random.Random(29)
+            text_a = serialize_signed_graph(g)
+            text_b = serialize_signed_graph(switch(g, tuple(rng.choice((1, -1))
+                                                            for _ in range(g.n))))
+        a, b = tmp_path / "a.sg", tmp_path / "b.sg"
+        a.write_bytes(text_a.encode())
+        b.write_bytes(text_b.encode())
+        decoded, pairs = [], []
+        serialized_rows, witness = sglap.sgraph._serialized_rows, sglap.cli._switching_witness
+        monkeypatch.setattr("sglap.sgraph._serialized_rows",
+                            lambda padded: decoded.append(len(padded) - 8)
+                            or serialized_rows(padded))
+        monkeypatch.setattr("sglap.sgraph._parse_lines", None)  # no line reader
+        monkeypatch.setattr("sglap.cli._parse_lines", None)
+        monkeypatch.setattr("sglap.cli._switching_witness",
+                            lambda g1, g2: pairs.append((g1, g2)) or witness(g1, g2))
+        code, out, err = run(capsys, ["switch-check", "--a", str(a), "--b", str(b)])
+        assert (code, err) == (0, "")
+        assert decoded == [len(text_a)]
+        [(g1, g2)] = pairs
+        assert g1 == parse_signed_graph(text_a) and g2 == parse_signed_graph(text_b)
+        assert all(x is y for x, y in zip(edge_arrays(g1)[:2], edge_arrays(g2)[:2]))
+        assert out == verdict_output(switching_equivalent(g1, g2))
+
+    @pytest.mark.parametrize("change", ["header count", "one digit", "crlf",
+                                        "no final newline", "star sign", "extra line"])
+    def test_other_bytes_load_as_before(self, capsys, tmp_path, monkeypatch, change):
+        """A second file that differs from the first in one byte or line
+        that is not a sign is loaded on its own: its own output, or its own
+        error, as loading it separately gives."""
+        g = SignedGraph.from_edges(5, [(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 5, -1),
+                                       (1, 3, 1), (2, 5, 1)])
+        text = serialize_signed_graph(switch(g, (1, -1, -1, 1, -1)))
+        text_b = {"header count": text.replace("n 5", "n 6", 1),
+                  "one digit": text.replace("4 5", "3 5", 1),
+                  "crlf": text.replace("\n", "\r\n"),
+                  "no final newline": text[:-1],
+                  "star sign": text.replace("+\n", "*\n", 1),
+                  "extra line": text + "1 4 -\n"}[change]
+        assert len(text_b) != len(text) or change in ("header count", "one digit", "star sign")
+        a, b = tmp_path / "a.sg", tmp_path / "b.sg"
+        a.write_text(serialize_signed_graph(g), encoding="utf-8")
+        b.write_bytes(text_b.encode())
+        try:
+            want = (0, verdict_output(switching_equivalent(sglap.cli._load(str(a)),
+                                                           sglap.cli._load(str(b)))), "")
+        except GraphFormatError as exc:
+            want = (2, "", f"error: {exc}\n")
+        parsed = []
+        parse = sglap.cli._parse
+        monkeypatch.setattr("sglap.cli._parse",
+                            lambda padded: parsed.append(len(padded) - 8) or parse(padded))
+        assert run(capsys, ["switch-check", "--a", str(a), "--b", str(b)]) == want
+        assert parsed == [len(text_b)]  # b loaded on its own, as every file is
+
+
 class TestByteOrderMark:
     """A file that starts with a UTF-8 byte-order mark reads like the same
     file without it, with or without a header line."""
@@ -310,7 +431,8 @@ class TestOneFormCheckPerFile:
     """A file the serializer-form check refuses goes straight to the line
     reader, with no second check of its decoded text; a byte-order mark
     before serializer-form text is read by the line reader into an equal
-    graph."""
+    graph; a switch-check partner that differs from the first file in sign
+    bytes alone gets no form check."""
 
     @pytest.mark.parametrize("variant", ["crlf", "comment", "bom"])
     def test_refused_file_is_checked_once(self, capsys, tmp_path, monkeypatch, variant):
@@ -325,16 +447,19 @@ class TestOneFormCheckPerFile:
         calls = []
         check = sglap.cli._parse_padded
 
-        def spy(padded):
+        def spy(padded, **kwargs):
             calls.append(len(padded))
-            return check(padded)
+            return check(padded, **kwargs)
 
         monkeypatch.setattr("sglap.cli._parse_padded", spy)
         monkeypatch.setattr("sglap.sgraph._parse_padded", spy)
         outputs = {}
         for path in (lf, other):
+            # The partner differs from lf.sg in sign bytes alone, so after
+            # lf.sg it is read by its signs, with no form check of its own.
             for argv, loads in ((["bounds", "--input", str(path)], 1),
-                                (["switch-check", "--a", str(path), "--b", str(partner)], 2)):
+                                (["switch-check", "--a", str(path), "--b", str(partner)],
+                                 1 if path is lf else 2)):
                 calls.clear()
                 outputs[path, argv[0]] = run(capsys, argv)
                 assert len(calls) == loads, (path.name, argv[0])

@@ -4,6 +4,8 @@ each call.
 A graph stores its vertex count and its ``edge_arrays`` when it is built,
 and its edge set when something first reads it; nothing else.  These tests
 check that every statistic equals the one of an equal but distinct graph,
+that computing statistics leaves a graph's equality, hash, repr and edge
+arrays as they were, that the Laplacian reads the stored edge arrays,
 that the edge arrays are unit-stride, read-only rows however the graph was
 made, that a graph holds no other state, however it was made and whatever
 was computed on it, that graphs derived from another graph (switched,
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import K3M, K3P, K3P_K3N, one_sign_subgraph, random_graphs
+from common import K3M, K3N, K3P, K3P_K3N, one_sign_subgraph, random_graphs
 import sglap
 from sglap import (
     GeneratorConfig,
@@ -95,6 +97,36 @@ class TestStatisticsMatchFresh:
         for fn in STATS:
             assert fn(g) == fn(g) == fn(twin(g))
         assert np.array_equal(laplacian(g), laplacian(g))
+
+    def test_statistics_leave_equality_hash_and_repr_unchanged(self):
+        g = twin(K3P_K3N)
+        before = (hash(g), repr(g))
+        warm(g)
+        assert g == K3P_K3N
+        assert (hash(g), repr(g)) == before
+
+    def test_edge_arrays_are_read_only(self):
+        g = twin(K3M)
+        for column in edge_arrays(g):
+            with pytest.raises(ValueError):
+                column[0] = 7
+            with pytest.raises(ValueError):
+                column.setflags(write=True)
+
+    def test_laplacian_reads_the_stored_edge_arrays(self, monkeypatch):
+        # Every graph stores its edge arrays when it is built, so the
+        # Laplacian neither reads a tuple-built graph's edge set again
+        # (np.fromiter would fail) nor builds a parsed graph's.
+        g = twin(K3M)
+        parsed = parse_signed_graph(serialize_signed_graph(K3N))
+
+        def no_second_read(*args, **kwargs):
+            raise AssertionError("edge set read twice")
+
+        monkeypatch.setattr(np, "fromiter", no_second_read)
+        assert laplacian(g).tolist() == [[2, -1, 1], [-1, 2, -1], [1, -1, 2]]
+        assert laplacian(parsed).tolist() == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        assert "edges" not in parsed.__dict__
 
 
 # A graph pickled by an earlier release, which held its edges as the

@@ -666,13 +666,16 @@ class TestSerializedFormCheck:
         form = _serialized_rows(padded(text))
         assert (form is not None) == oracle_is_serialized(text)
         if form is not None:
-            n, rows = form
+            n, rows, starts = form
             assert n == int(text[2:text.index("\n")])
             # Column k: line k's two numbers and its sign, in the text's order.
             lines = text.split("\n")[1:-1]
             assert rows.dtype == np.int64 and rows.shape == (3, len(lines))
             assert rows.T.tolist() == [[int(a), int(b), 1 if sign == "+" else -1]
                                        for a, b, sign in map(str.split, lines)]
+            # Entry k: the place of line k's first byte in the text.
+            ends = [at for at, char in enumerate(text) if char == "\n"]
+            assert starts.tolist() == [at + 1 for at in ends[:-1]]
 
 
     @pytest.mark.parametrize("line", [b"1 2 +\n", b"1234567 7654321 -\n"])

@@ -1,4 +1,4 @@
-"""Print four sha256 digests that pin every evaluated result.
+"""Print five sha256 digests that pin every evaluated result.
 
 1. Every bound and spectrum of a fixed corpus: 1260 ``generate``d graphs,
    n in {1, 2, 3, 5, 10, 30, 60}, edge_prob in {0.1, 0.5, 0.9}, neg_prob
@@ -14,22 +14,33 @@
    (graphs without a cycle get no second partner).  The digest is taken
    over ``repr`` of ``balance_info`` of the graph read back and of
    ``switching_equivalent`` of it with each partner, verdict and witness.
+5. The ``sglap switch-check`` command on the same corpus: each graph's
+   serializer text against a twin, a switching of it, with one cycle edge
+   flipped in about half of the graphs that have a cycle.  The twin is
+   written twice, once line for line as the serializer writes it, so that
+   it differs from the graph's text in sign bytes alone, and once with its
+   lines shuffled.  The digest is taken over each call's exit code and
+   stdout.
 
 Each changes when any bound value, guard reason, eigenvalue, reported
-violation, balance reading or switching witness changes in its last bit.
-Two commits that print the same digests on one machine give bit-identical
-results there; the eigenvalues, and so the first three digests, depend on
-the LAPACK build.  Digest 4 calls no eigensolver, so it reads the same on
-every machine, and ``tests/test_fingerprint.py`` pins it.
+violation, balance reading, switching witness or switch-check output
+changes in its last bit.  Two commits that print the same digests on one
+machine give bit-identical results there; the eigenvalues, and so the
+first three digests, depend on the LAPACK build.  Digests 4 and 5 call no
+eigensolver, so they read the same on every machine, and
+``tests/test_fingerprint.py`` pins them.
 
 Run from the root of a source checkout:
 
     python3 tools/fingerprint.py
 """
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -37,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sglap import (GeneratorConfig, SignedGraph, balance_info, evaluate_all,  # noqa: E402
                    generate, parse_signed_graph, serialize_signed_graph, switch,
                    switching_equivalent, unsigned_corollaries, verify)
+from sglap.cli import main as cli_main  # noqa: E402
 
 # (config, trials, tol): passing and failing runs, connected or not, from
 # n = 1 to n = 30.  A negative tol makes the sandwich report tight bounds.
@@ -82,11 +94,16 @@ def switch_readings(g: SignedGraph, rng: random.Random) -> str:
     partners = [partner]
     closing = cycle_edge(g)
     if closing is not None:
-        edges = {(i, j): s for i, j, s in partner.edges}
-        edges[closing] *= -1
-        partners.append(SignedGraph(g.n, frozenset((i, j, s) for (i, j), s in edges.items())))
+        partners.append(flipped(partner, closing))
     return repr((balance_info(g),
                  [switching_equivalent(g, read_back(h, rng)) for h in partners]))
+
+
+def flipped(g: SignedGraph, pair) -> SignedGraph:
+    """``g`` with the sign of its edge on ``pair`` flipped."""
+    edges = {(i, j): s for i, j, s in g.edges}
+    edges[pair] *= -1
+    return SignedGraph(g.n, frozenset((i, j, s) for (i, j), s in edges.items()))
 
 
 def corpus():
@@ -107,6 +124,29 @@ def switching_digest(graphs) -> str:
     return switching.hexdigest()
 
 
+def switch_check_digest(graphs) -> str:
+    """Digest 5, as hex, over ``graphs`` in order."""
+    digest = hashlib.sha256()
+    rng = random.Random(2029)
+    with tempfile.TemporaryDirectory() as workdir:
+        a, b = Path(workdir, "a.sg"), Path(workdir, "b.sg")
+        for g in graphs:
+            twin = switch(g, tuple(rng.choice((1, -1)) for _ in range(g.n)))
+            closing = cycle_edge(g)
+            if closing is not None and rng.random() < 0.5:
+                twin = flipped(twin, closing)
+            a.write_text(serialize_signed_graph(g), encoding="utf-8")
+            header, *lines = serialize_signed_graph(twin).splitlines(keepends=True)
+            shuffled = rng.sample(lines, len(lines))
+            for text in (header + "".join(lines), header + "".join(shuffled)):
+                b.write_text(text, encoding="utf-8")
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli_main(["switch-check", "--a", str(a), "--b", str(b)])
+                digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     graphs = list(corpus())
     catalog, unsigned = hashlib.sha256(), hashlib.sha256()
@@ -118,7 +158,7 @@ def main() -> None:
     for cfg, trials, tol in VERIFY_RUNS:
         reports.update(repr(verify(cfg, trials, tol)).encode())
     for digest in (catalog.hexdigest(), unsigned.hexdigest(), reports.hexdigest(),
-                   switching_digest(graphs)):
+                   switching_digest(graphs), switch_check_digest(graphs)):
         print(digest)
 
 
